@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .octonion import oct_conj, oct_mul
+from .octonion import OCT_TABLE, oct_conj
 
 __all__ = [
     "DegenerateFormError",
@@ -95,7 +95,9 @@ def pack4(sigma: np.ndarray) -> np.ndarray:
 
 def unpack4(canon: np.ndarray) -> np.ndarray:
     """Canonical (...,70) -> dense (...,8,8,8,8)."""
-    return canon[..., _SLOT4] * _SIGN4
+    dense = canon[..., _SLOT4]    # fancy indexing copies, so scaling in place is safe
+    dense *= _SIGN4
+    return dense
 
 
 def pack3(gamma: np.ndarray) -> np.ndarray:
@@ -124,11 +126,16 @@ _HODGE_COMP, _HODGE_SIGN = _hodge_tables()
 # ---------------------------------------------------------------------------
 # the Cayley form
 
-def _build_cayley() -> np.ndarray:
+def _build_cayley(table: np.ndarray = OCT_TABLE) -> np.ndarray:
+    """The 4-form of the octonion product `table` (dense, read-only); the
+    identity suite passes a corrupted table as its negative control."""
     eye = np.eye(8)
 
+    def mul(a, b):
+        return np.einsum("...i,...j,ijk->...k", a, b, table)
+
     def f(i, j, k, l):
-        return float(eye[i] @ oct_mul(eye[j], oct_mul(oct_conj(eye[k]), eye[l])))
+        return float(eye[i] @ mul(eye[j], mul(oct_conj(eye[k]), eye[l])))
 
     canon = np.zeros(70)
     for c, quad in enumerate(QUADS):
@@ -281,29 +288,12 @@ _B_SPLITS, _B_SIGNS = _shuffles(7, (2, 2, 3))    # 210 rows: pair, pair, triple
 _A_SPLITS, _A_SIGNS = _shuffles(7, (3, 4))       # 35 rows: triple, quadruple
 
 
-def _polarization_set():
-    """Vectors w and static frame-completion columns for metric evaluation."""
-    entries = []
-    eye = np.eye(8)
-    for i in range(8):
-        cols = [c for c in range(8) if c != i]
-        entries.append((eye[i], i, np.array(cols)))
-    for i in range(8):
-        for j in range(i + 1, 8):
-            cols = [c for c in range(8) if c != i]
-            entries.append((eye[i] + eye[j], (i, j), np.array(cols)))
-    return entries
+def _g_ww(p3f: np.ndarray, phif: np.ndarray) -> np.ndarray:
+    """g(w, w) for a frame {w, e_c : c in cols}, batched over the form.
 
-
-_POLARIZATION = _polarization_set()
-
-
-def _g_ww(phi: np.ndarray, w: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """g(w, w) for the frame {w, e_c : c in cols}, batched over phi."""
-    p3 = np.einsum("...ijkl,i->...jkl", phi, w)
-    p3f = p3[..., cols[:, None, None], cols[None, :, None], cols[None, None, :]]
-    phif = phi[..., cols[:, None, None, None], cols[None, :, None, None],
-               cols[None, None, :, None], cols[None, None, None, :]]
+    p3f is phi(w, ., ., .) and phif is phi, both restricted to the
+    completion columns.
+    """
     s = _B_SPLITS
     g1 = p3f[..., :, s[:, 0], s[:, 1]]                 # (...,7,210)
     g2 = p3f[..., :, s[:, 2], s[:, 3]]                 # (...,7,210)
@@ -325,25 +315,23 @@ def _g_ww(phi: np.ndarray, w: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def metric_from_form(phi: np.ndarray) -> np.ndarray:
     """Metric induced by an admissible 4-form, via frame evaluation.
 
-    Evaluates g(w,w) on the 8 coordinate vectors and the 28 sums e_i + e_j
-    (each with a static coordinate completion frame; the determinant formula
-    is frame-covariant so no orthonormalization is needed) and polarizes
-    g(u,v) = (g(u+v,u+v) - g(u,u) - g(v,v)) / 2.
+    Evaluates g(w,w) on the 8 coordinate vectors e_i and the 28 sums
+    e_i + e_j (i < j), each with the static completion frame {e_c : c != i}
+    (the determinant formula is frame-covariant so no orthonormalization is
+    needed), and polarizes g(u,v) = (g(u+v,u+v) - g(u,u) - g(v,v)) / 2.
 
     Raises DegenerateFormError when the input fails nondegeneracy.
     """
-    batch = phi.shape[:-4]
-    g = np.zeros(batch + (8, 8))
-    diag = {}
-    for w, tag, cols in _POLARIZATION:
-        val = _g_ww(phi, w, cols)
-        if isinstance(tag, int):
-            diag[tag] = val
-            g[..., tag, tag] = val
-    for w, tag, cols in _POLARIZATION:
-        if isinstance(tag, tuple):
-            i, j = tag
-            val = 0.5 * (_g_ww(phi, w, cols) - diag[i] - diag[j])
-            g[..., i, j] = val
-            g[..., j, i] = val
+    g = np.zeros(phi.shape[:-4] + (8, 8))
+    sums = {}
+    for i in range(8):
+        cols = np.array([c for c in range(8) if c != i])
+        # phi with its last three slots restricted to the frame, gathered once
+        p3 = phi[..., cols[:, None, None], cols[None, :, None], cols[None, None, :]]
+        phif = p3[..., cols, :, :, :]
+        g[..., i, i] = _g_ww(p3[..., i, :, :, :], phif)
+        for j in range(i + 1, 8):
+            sums[i, j] = _g_ww(p3[..., i, :, :, :] + p3[..., j, :, :, :], phif)
+    for (i, j), val in sums.items():
+        g[..., i, j] = g[..., j, i] = 0.5 * (val - g[..., i, i] - g[..., j, j])
     return g

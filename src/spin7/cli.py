@@ -311,10 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except storage.CheckpointError as exc:
+    except (ConfigError, storage.CheckpointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FlowAbort as exc:

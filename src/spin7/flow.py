@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,8 @@ __all__ = [
     "FlowAbort",
     "SolitonSchedule",
     "initial_data",
+    "Evaluation",
+    "evaluate",
     "flow_step",
     "run_flow",
     "RunResult",
@@ -70,9 +73,6 @@ class FlowState:
 
     def phi_dense(self) -> np.ndarray:
         return unpack4(self.phi)
-
-    def torsion(self) -> np.ndarray:
-        return lattice.torsion(self.spec, self.phi, self.metric_scale)
 
     def copy(self) -> "FlowState":
         return replace(self, phi=self.phi.copy())
@@ -221,37 +221,43 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0,
 # ---------------------------------------------------------------------------
 # stepping
 
-def _generator(state: FlowState, t_field: np.ndarray | None = None,
-               phi_dense: np.ndarray | None = None) -> np.ndarray:
-    """pi7-projected divergence of torsion, the pointwise update generator."""
-    if phi_dense is None:
-        phi_dense = state.phi_dense()
-    if t_field is None:
-        t_field = lattice.torsion(state.spec, state.phi, state.metric_scale,
-                                  phi_dense=phi_dense)
-    return lattice.div_torsion(state.spec, t_field, metric_scale=state.metric_scale,
-                               project=True, phi_dense=phi_dense)
+class Evaluation(NamedTuple):
+    """What the step, the record and the checks read of one state."""
+
+    phi_d: np.ndarray      # dense form, grid + (8, 8, 8, 8)
+    t_field: np.ndarray    # torsion, grid + (8, 8, 8)
+    gen: np.ndarray        # update generator pi7(Div T), grid + (8, 8)
 
 
-def _apply_generator(state: FlowState, gen: np.ndarray, dt: float,
-                     raw_euler: bool, phi_d: np.ndarray) -> FlowState:
+def evaluate(state: FlowState) -> Evaluation:
+    """The dense form, torsion and update generator of a state.
+
+    The single place a state's torsion and generator are computed; the
+    step, the diagnostics record and every check read them from here.
+    """
+    phi_d = state.phi_dense()
+    t_field = lattice.torsion(state.spec, state.phi, state.metric_scale, phi_dense=phi_d)
+    gen = lattice.div_torsion(state.spec, t_field, metric_scale=state.metric_scale,
+                              project=True, phi_dense=phi_d)
+    return Evaluation(phi_d, t_field, gen)
+
+
+def _advance(state: FlowState, ev: Evaluation, dt: float, raw_euler: bool) -> FlowState:
+    if not np.all(np.isfinite(ev.gen)):
+        raise FlowAbort(f"non-finite update generator at t={state.t:.6g}, step {state.step}")
     # one index of the generator is raised when acting on the form
-    gen_matrix = (dt / state.metric_scale) * gen
+    gen_matrix = (dt / state.metric_scale) * ev.gen
     if raw_euler:
-        new_dense = phi_d + algebra.diamond(gen_matrix, phi_d)
+        new_dense = ev.phi_d + algebra.diamond(gen_matrix, ev.phi_d)
     else:
-        new_dense = orbit.rotate_form(orbit.so8_exp(gen_matrix, check=False), phi_d)
+        new_dense = orbit.rotate_form(orbit.so8_exp(gen_matrix, check=False), ev.phi_d)
     return FlowState(spec=state.spec, phi=pack4(new_dense), t=state.t + dt,
                      step=state.step + 1, metric_scale=state.metric_scale)
 
 
 def flow_step(state: FlowState, dt: float, raw_euler: bool = False) -> FlowState:
     """One forward step; rotation update unless raw_euler (benchmark mode)."""
-    phi_d = state.phi_dense()
-    gen = _generator(state, phi_dense=phi_d)
-    if not np.all(np.isfinite(gen)):
-        raise FlowAbort(f"non-finite update generator at t={state.t:.6g}, step {state.step}")
-    return _apply_generator(state, gen, dt, raw_euler, phi_d)
+    return _advance(state, evaluate(state), dt, raw_euler)
 
 
 def metric_drift(state: FlowState) -> float:
@@ -260,31 +266,35 @@ def metric_drift(state: FlowState) -> float:
     return float(np.abs(g - state.metric_scale * np.eye(8)).max())
 
 
-def diagnostics(state: FlowState, prev: tuple[float, float] | None = None) -> DiagRecord:
-    """One diagnostics row; prev = (t, E) of the previous record for dEdt."""
+def _record(state: FlowState, ev: Evaluation, prev: tuple[float, float] | None) -> DiagRecord:
     spec, s = state.spec, state.metric_scale
-    phi_d = state.phi_dense()
-    t_field = lattice.torsion(spec, state.phi, s, phi_dense=phi_d)
-    gen = _generator(state, t_field, phi_dense=phi_d)
-    e = lattice.energy(spec, t_field, s)
-    neg_div2 = -lattice.integrate(spec, np.einsum("...ab,...ab->...", gen, gen) / s**2, s)
+    e = lattice.energy(spec, ev.t_field, s)
+    gen_sq = np.einsum("...ab,...ab->...", ev.gen, ev.gen)
+    neg_div2 = -lattice.integrate(spec, gen_sq / s**2, s)
     if prev is None or state.t == prev[0]:
         dedt = 0.0
     else:
         dedt = (e - prev[1]) / (state.t - prev[0])
-    gen_defect = pi21(gen, phi_d, metric_scale=s)
+    gen_defect = pi21(ev.gen, ev.phi_d, metric_scale=s)
+    # the scalar residual is the trace of the Ricci residual field
+    ricci = lattice.ricci_residual(spec, ev.t_field, return_field=True)
     return DiagRecord(
         t=state.t,
         E=e,
         dEdt=dedt,
         negDivT2=neg_div2,
-        maxT=lattice.max_torsion(spec, t_field, s),
-        bianchi=lattice.bianchi_residual(spec, t_field),
-        ricci=lattice.ricci_residual(spec, t_field),
-        scalar=lattice.scalar_residual(spec, t_field),
+        maxT=lattice.max_torsion(spec, ev.t_field, s),
+        bianchi=lattice.bianchi_residual(spec, ev.t_field),
+        ricci=float(np.abs(ricci).max()),
+        scalar=float(np.abs(np.einsum("...ii->...", ricci)).max()),
         metric_drift=metric_drift(state),
         omega21_defect=float(np.sqrt(np.max(np.sum(gen_defect**2, axis=(-1, -2))))),
     )
+
+
+def diagnostics(state: FlowState, prev: tuple[float, float] | None = None) -> DiagRecord:
+    """One diagnostics row; prev = (t, E) of the previous record for dEdt."""
+    return _record(state, evaluate(state), prev)
 
 
 @dataclass
@@ -313,14 +323,13 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
     prev = prev_record
     blowup_ceiling = config.blowup_factor / config.spec.spacing
 
-    def emit(st: FlowState) -> DiagRecord:
+    def emit(st: FlowState, ev: Evaluation) -> None:
         nonlocal prev
-        rec = diagnostics(st, prev)
+        rec = _record(st, ev, prev)
         prev = (rec.t, rec.E)
         records.append(rec)
         if on_record is not None:
             on_record(rec)
-        return rec
 
     def take_checkpoint(st: FlowState):
         if checkpoints and checkpoints[-1].step == st.step:
@@ -330,8 +339,10 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
             on_checkpoint(st, prev)
 
     exit_reason = "max_steps"
+    # each state is evaluated once; its record and its step share the evaluation
+    ev = evaluate(state)
     if state.step % config.diag_cadence == 0 and prev_record is None:
-        emit(state)
+        emit(state, ev)
     while True:
         if config.max_steps is not None and state.step >= config.max_steps:
             exit_reason = "max_steps"
@@ -339,29 +350,24 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
         if config.t_end is not None and state.t >= config.t_end - 1e-15 * max(1.0, abs(config.t_end)):
             exit_reason = "t_end"
             break
-        phi_d = state.phi_dense()
-        t_field = lattice.torsion(config.spec, state.phi, state.metric_scale,
-                                  phi_dense=phi_d)
-        sup_t = lattice.max_torsion(config.spec, t_field, state.metric_scale)
+        sup_t = lattice.max_torsion(config.spec, ev.t_field, state.metric_scale)
         if not math.isfinite(sup_t):
             raise FlowAbort(f"non-finite torsion at step {state.step}")
         if sup_t > blowup_ceiling:
             exit_reason = "blowup_guard"
             break
-        gen = _generator(state, t_field, phi_dense=phi_d)
-        if not np.all(np.isfinite(gen)):
-            raise FlowAbort(f"non-finite update generator at step {state.step}")
-        sup_div = float(np.sqrt(np.max(np.sum(gen * gen, axis=(-1, -2)))))
+        sup_div = float(np.sqrt(np.max(np.sum(ev.gen * ev.gen, axis=(-1, -2)))))
         if sup_div < config.div_tol:
             exit_reason = "converged"
             break
-        state = _apply_generator(state, gen, dt, config.integrator == "euler", phi_d)
+        state = _advance(state, ev, dt, config.integrator == "euler")
+        ev = evaluate(state)
         if state.step % config.diag_cadence == 0:
-            emit(state)
+            emit(state, ev)
         if config.checkpoint_cadence and state.step % config.checkpoint_cadence == 0:
             take_checkpoint(state)
     if not records or records[-1].t != state.t:
-        emit(state)
+        emit(state, ev)
     take_checkpoint(state)
     return RunResult(records=records, state=state, exit_reason=exit_reason,
                      checkpoints=checkpoints)
@@ -377,17 +383,14 @@ def energy_gradient_check(state: FlowState, direction: np.ndarray, eps: float) -
     direction is a pointwise 2-form field X, expected in the 7-summand.
     """
     spec, s = state.spec, state.metric_scale
-    phi_d = state.phi_dense()
-    t_field = state.torsion()
-    div = lattice.div_torsion(spec, t_field, state.phi, metric_scale=s, project=True)
+    ev = evaluate(state)
     predicted = -lattice.integrate(
-        spec, np.einsum("...ab,...ab->...", div, direction) / s**2, s)
+        spec, np.einsum("...ab,...ab->...", ev.gen, direction) / s**2, s)
     energies = []
     for sign in (+1.0, -1.0):
         rot = orbit.so8_exp(sign * eps / s * direction, check=False)
-        phi_eps = pack4(orbit.rotate_form(rot, phi_d))
-        t_eps = lattice.torsion(spec, phi_eps, s)
-        energies.append(lattice.energy(spec, t_eps, s))
+        moved = replace(state, phi=pack4(orbit.rotate_form(rot, ev.phi_d)))
+        energies.append(lattice.energy(spec, evaluate(moved).t_field, s))
     fd = (energies[0] - energies[1]) / (2.0 * eps)
     denom = max(abs(predicted), 1e-300)
     return abs(fd - predicted) / denom
@@ -406,17 +409,16 @@ def torsion_evolution_residual(prev: FlowState, mid: FlowState, nxt: FlowState) 
     """Max-norm residual of the flat-torus |T|^2 evolution equation
     2 d|T|^2/dt = 2 lap |T|^2 - 4 |grad T|^2 + quartic terms,
     with the time derivative by central difference across three states.
+    Defined for unscaled states (metric_scale 1), the only ones runs produce.
     """
     spec = mid.spec
     if prev.spec != spec or nxt.spec != spec:
         raise ValueError("states live on different lattices")
-    tsq = []
-    for st in (prev, mid, nxt):
-        tf = st.torsion()
-        tsq.append(np.einsum("...mab,...mab->...", tf, tf))
+    _require_unscaled((prev, mid, nxt), "torsion_evolution_residual")
+    t_prev, t_field, t_next = (evaluate(st).t_field for st in (prev, mid, nxt))
+    tsq = [lattice.torsion_norm_sq(tf) for tf in (t_prev, t_field, t_next)]
     dt_minus, dt_plus = mid.t - prev.t, nxt.t - mid.t
     ddt = (tsq[2] - tsq[0]) / (dt_plus + dt_minus)
-    t_field = mid.torsion()
     gt = lattice.fd_gradient_generic(spec, t_field)
     grad_sq = np.einsum("...imab,...imab->...", gt, gt)
     rhs = 2.0 * lattice.fd_laplacian(spec, tsq[1]) - 4.0 * grad_sq + quartic_terms(t_field)
@@ -435,8 +437,7 @@ def theta_functional(states, center: tuple[int, ...], t0: float) -> np.ndarray:
         if tau <= 0:
             raise ValueError(f"state time {st.t} is not below the horizon {t0}")
         w = heat_weights(st.spec, center, tau, st.metric_scale)
-        tf = st.torsion()
-        tsq = np.einsum("...mab,...mab->...", tf, tf) / st.metric_scale**3
+        tsq = lattice.torsion_norm_sq(evaluate(st).t_field, st.metric_scale)
         out.append(tau * lattice.integrate(st.spec, tsq * w, st.metric_scale))
     return np.array(out)
 
@@ -448,8 +449,7 @@ def entropy(state: FlowState, sigma: float, t_samples: int = 16, x_stride: int =
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     spec = state.spec
-    tf = state.torsion()
-    tsq = np.einsum("...mab,...mab->...", tf, tf) / state.metric_scale**3
+    tsq = lattice.torsion_norm_sq(evaluate(state).t_field, state.metric_scale)
     taus = sigma * np.power(2.0, -np.arange(t_samples, dtype=float)[::-1])
     centers = np.ndindex(*(max(1, spec.points // max(1, x_stride)),) * spec.n_axes)
     best = 0.0
@@ -527,26 +527,25 @@ def soliton_schedule(c: int, p: float = 0.5) -> SolitonSchedule:
     return SolitonSchedule(c=c, p=p, t_hat=t_hat, interval=interval)
 
 
+def _require_unscaled(states, name: str) -> None:
+    # these checks' right-hand sides are written for the unit metric
+    if any(st.metric_scale != 1.0 for st in states):
+        raise ValueError(f"{name} expects unscaled states (metric_scale 1)")
+
+
 def soliton_residual(state: FlowState, x_field: np.ndarray) -> float:
     """Max-norm of Div T - X . T - pi7(skew grad X), zero for steady solitons.
 
     x_field is a vector field on the grid, shape grid_shape + (8,).
     Defined for unscaled states (metric_scale 1), the only ones runs produce.
     """
-    spec = state.spec
-    if state.metric_scale != 1.0:
-        raise ValueError("soliton_residual expects an unscaled state")
-    t_field = state.torsion()
-    div = lattice.div_torsion(spec, t_field, state.phi, project=True)
-    x_hook_t = np.einsum("...m,...mab->...ab", x_field, t_field)
-    k = spec.n_axes
-    gx_compact = np.stack(
-        [lattice._d1(x_field, ax, spec.spacing, spec.stencil_order) for ax in range(k)],
-        axis=k)
-    gx = lattice._embed_m_axis(spec, gx_compact, gx_compact.ndim - 2)
+    _require_unscaled((state,), "soliton_residual")
+    ev = evaluate(state)
+    x_hook_t = np.einsum("...m,...mab->...ab", x_field, ev.t_field)
+    gx = lattice.fd_gradient_embedded(state.spec, x_field)
     skew = 0.5 * (gx - np.swapaxes(gx, -1, -2))
-    nabla7 = pi7(skew, state.phi_dense())
-    return float(np.abs(div - x_hook_t - nabla7).max())
+    nabla7 = pi7(skew, ev.phi_d)
+    return float(np.abs(ev.gen - x_hook_t - nabla7).max())
 
 
 def convexity_gap(states, lowest_eigenvalue: float | None = None):
@@ -555,22 +554,20 @@ def convexity_gap(states, lowest_eigenvalue: float | None = None):
     nonzero eigenvalue of the rough Laplacian on 2-forms; on the flat torus
     Lam = (2 pi / L)^2 for the lowest mode.
 
-    Takes three consecutive states; returns (lhs, rhs, gap) with
-    gap = lhs - rhs (nonnegative when the bound holds).
+    Takes three consecutive unscaled states (metric_scale 1); returns
+    (lhs, rhs, gap) with gap = lhs - rhs (nonnegative when the bound holds).
     """
     prev, mid, nxt = states
     spec = mid.spec
+    _require_unscaled(states, "convexity_gap")
     if lowest_eigenvalue is None:
         lowest_eigenvalue = (2.0 * np.pi / spec.period) ** 2
-    es = []
-    for st in (prev, mid, nxt):
-        es.append(lattice.energy(spec, st.torsion(), st.metric_scale))
+    ev = evaluate(mid)
+    e_prev, e_next = (lattice.energy(spec, evaluate(st).t_field) for st in (prev, nxt))
     dtm, dtp = mid.t - prev.t, nxt.t - mid.t
-    d2e = (es[2] - 2 * es[1] + es[0]) / (dtm * dtp)
-    t_field = mid.torsion()
-    div = lattice.div_torsion(spec, t_field, mid.phi, project=True)
-    tsq = np.einsum("...mab,...mab->...", t_field, t_field)
-    div_sq = np.einsum("...ab,...ab->...", div, div)
+    d2e = (e_next - 2 * lattice.energy(spec, ev.t_field) + e_prev) / (dtm * dtp)
+    tsq = lattice.torsion_norm_sq(ev.t_field)
+    div_sq = np.einsum("...ab,...ab->...", ev.gen, ev.gen)
     rhs = lattice.integrate(spec, (lowest_eigenvalue - 3.0 * tsq) * div_sq)
     return d2e, rhs, d2e - rhs
 
@@ -603,11 +600,8 @@ def parabolic_rescale(state: FlowState, c: float):
     spec, s = state.spec, state.metric_scale
     new = FlowState(spec=spec, phi=c**4 * state.phi, t=c * c * state.t,
                     step=state.step, metric_scale=c * c * s)
-    t_old = state.torsion()
-    t_new = new.torsion()
-    div_old = lattice.div_torsion(spec, t_old, state.phi, metric_scale=s, project=True)
-    div_new = lattice.div_torsion(spec, t_new, new.phi, metric_scale=new.metric_scale,
-                                  project=True)
+    t_old, div_old = evaluate(state)[1:]
+    t_new, div_new = evaluate(new)[1:]
     scale = max(float(np.abs(t_old).max()), 1e-300)
     dscale = max(float(np.abs(div_old).max()), 1e-300)
     gt_old = lattice.fd_gradient_generic(spec, t_old)

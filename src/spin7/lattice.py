@@ -26,13 +26,14 @@ from .algebra import pi7, pi21, unpack4
 
 __all__ = [
     "LatticeSpec",
-    "fd_gradient",
     "fd_gradient_generic",
+    "fd_gradient_embedded",
     "fd_laplacian",
     "torsion",
     "div_torsion",
     "energy",
     "max_torsion",
+    "torsion_norm_sq",
     "omega21_defect",
     "bianchi_residual",
     "ricci_residual",
@@ -141,11 +142,6 @@ def fd_gradient_generic(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def fd_gradient(spec: LatticeSpec, phi_canon: np.ndarray) -> np.ndarray:
-    """Derivatives of a canonical 4-form field; shape grid + (n_axes, 70)."""
-    return fd_gradient_generic(spec, phi_canon)
-
-
 def fd_laplacian(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
     """Sum of active-axis second derivatives (flat Laplacian)."""
     out = _d2(values, 0, spec.spacing, spec.stencil_order)
@@ -168,6 +164,12 @@ def _embed_m_axis(spec: LatticeSpec, compact: np.ndarray, position: int) -> np.n
     return out
 
 
+def fd_gradient_embedded(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
+    """`fd_gradient_generic` with the derivative axis embedded to size 8
+    (zeros on inactive axes); shape grid_shape + (8,) + tensor_shape."""
+    return _embed_m_axis(spec, fd_gradient_generic(spec, values), spec.n_axes)
+
+
 def torsion(spec: LatticeSpec, phi_canon: np.ndarray, metric_scale: float = 1.0,
             phi_dense: np.ndarray | None = None) -> np.ndarray:
     """Full torsion field T[..., m, a, b], skew-symmetrized in (a, b).
@@ -176,7 +178,7 @@ def torsion(spec: LatticeSpec, phi_canon: np.ndarray, metric_scale: float = 1.0,
     uniform metric, i.e. an s**-3 factor.  Inactive m-slices are zero.
     phi_dense may pass a precomputed dense view of the same field.
     """
-    grad_d = unpack4(fd_gradient(spec, phi_canon))    # grid + (k, 8,8,8,8)
+    grad_d = unpack4(fd_gradient_generic(spec, phi_canon))    # grid + (k, 8,8,8,8)
     if phi_dense is None:
         phi_dense = unpack4(phi_canon)
     raw = np.einsum("...majkl,...bjkl->...mab", grad_d, phi_dense)
@@ -207,19 +209,20 @@ def div_torsion(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray | 
     return out
 
 
-def _t_norm_sq_field(t_field: np.ndarray, metric_scale: float) -> np.ndarray:
+def torsion_norm_sq(t_field: np.ndarray, metric_scale: float = 1.0) -> np.ndarray:
+    """Pointwise |T|^2 with the three slots raised by the uniform metric."""
     return np.einsum("...mab,...mab->...", t_field, t_field) / metric_scale**3
 
 
 def energy(spec: LatticeSpec, t_field: np.ndarray, metric_scale: float = 1.0) -> float:
     """Half the integral of |T|^2 over the full torus (Riemann sum)."""
     dvol = spec.cell_volume * metric_scale**4
-    return 0.5 * float(np.sum(_t_norm_sq_field(t_field, metric_scale))) * dvol
+    return 0.5 * float(np.sum(torsion_norm_sq(t_field, metric_scale))) * dvol
 
 
 def max_torsion(spec: LatticeSpec, t_field: np.ndarray, metric_scale: float = 1.0) -> float:
     """Sup over the grid of the pointwise torsion norm."""
-    return float(np.sqrt(np.max(_t_norm_sq_field(t_field, metric_scale))))
+    return float(np.sqrt(np.max(torsion_norm_sq(t_field, metric_scale))))
 
 
 def integrate(spec: LatticeSpec, pointwise: np.ndarray, metric_scale: float = 1.0) -> float:
@@ -235,19 +238,7 @@ def omega21_defect(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray
     return float(np.sqrt(np.max(np.sum(defect * defect, axis=(-1, -2)))))
 
 
-def _grad_t(spec: LatticeSpec, t_field: np.ndarray) -> np.ndarray:
-    """d_i T_{m;ab} with the derivative axis embedded to size 8 (zeros inactive).
-
-    Output shape: grid + (8_i, 8_m, 8_a, 8_b).
-    """
-    k = spec.n_axes
-    compact = np.stack(
-        [_d1(t_field, ax, spec.spacing, spec.stencil_order) for ax in range(k)], axis=k)
-    return _embed_m_axis(spec, compact, compact.ndim - 4)
-
-
-def bianchi_residual(spec: LatticeSpec, t_field: np.ndarray,
-                     return_field: bool = False):
+def bianchi_residual(spec: LatticeSpec, t_field: np.ndarray) -> float:
     """Flat-torus residual of the first-order torsion identity.
 
     res_{ij;ab} = d_i T_{j;ab} - d_j T_{i;ab} - 2 T_{i;am} T_{j;mb}
@@ -255,11 +246,9 @@ def bianchi_residual(spec: LatticeSpec, t_field: np.ndarray,
     the curvature terms of the closed identity vanish on the flat torus, so
     this is O(h^p) on smooth admissible fields.  Returns the max norm.
     """
-    gt = _grad_t(spec, t_field)
+    gt = fd_gradient_embedded(spec, t_field)
     quad = np.einsum("...iam,...jmb->...ijab", t_field, t_field)
     res = gt - np.swapaxes(gt, -4, -3) - 2.0 * quad + 2.0 * np.swapaxes(quad, -4, -3)
-    if return_field:
-        return res
     return float(np.abs(res).max())
 
 
@@ -270,7 +259,7 @@ def ricci_residual(spec: LatticeSpec, t_field: np.ndarray,
     res_ij = 4 d_i T_{a;ja} - 4 d_a T_{i;ja} - 8 T_{i;jb} T_{a;ba}
              + 8 T_{a;jb} T_{i;ba};  O(h^p) on smooth admissible fields.
     """
-    gt = _grad_t(spec, t_field)
+    gt = fd_gradient_embedded(spec, t_field)
     res = (4.0 * np.einsum("...iaja->...ij", gt)
            - 4.0 * np.einsum("...aija->...ij", gt)
            - 8.0 * np.einsum("...ijb,...aba->...ij", t_field, t_field)
@@ -299,9 +288,9 @@ def scalar_residual(spec: LatticeSpec, t_field: np.ndarray,
 
 def scalar_residual_printed(spec: LatticeSpec, t_field: np.ndarray) -> float:
     """The |T|^2 variant of the scalar residual; O(1), does not decay."""
-    gt = _grad_t(spec, t_field)
+    gt = fd_gradient_embedded(spec, t_field)
     res = (4.0 * np.einsum("...iaia->...", gt)
            - 4.0 * np.einsum("...aiia->...", gt)
-           + 8.0 * np.einsum("...mab,...mab->...", t_field, t_field)
+           + 8.0 * torsion_norm_sq(t_field)
            + 8.0 * np.einsum("...ajb,...jba->...", t_field, t_field))
     return float(np.abs(res).max())

@@ -173,8 +173,13 @@ def rotate_form(r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     rt = np.broadcast_to(rt, shape[:-4] + (8, 8)).reshape(-1, 8, 8)
     # contract the last slot with r (one true batched GEMM), then cycle it to
     # the front; after four rounds every slot is contracted and axis order
-    # is restored
+    # is restored.  The rounds share two buffers, so a call allocates two
+    # dense arrays, not eight: fewer large temporaries keep the allocator
+    # from trimming and re-faulting the heap on every flow step.
+    buf = np.empty(out.shape)
+    prod = np.empty((out.shape[0], 512, 8))
     for _ in range(4):
-        out = np.matmul(out.reshape(-1, 512, 8), rt).reshape((-1,) + (8,) * 4)
-        out = np.moveaxis(out, -1, 1)
+        np.copyto(buf, out)
+        np.matmul(buf.reshape(-1, 512, 8), rt, out=prod)
+        out = np.moveaxis(prod.reshape(buf.shape), -1, 1)
     return out.reshape(shape)

@@ -99,23 +99,28 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
             f"{path}: unsupported checkpoint format version {version} "
             f"(reader supports {FORMAT_VERSION})")
     hlen = int.from_bytes(blob[8:16], "little")
-    header = json.loads(blob[16:16 + hlen].decode("utf-8"))
-    spec = LatticeSpec.from_dict(header["lattice"])
+    if len(blob) < 16 + hlen:
+        raise CheckpointError(f"{path}: truncated header ({len(blob)} bytes in the file)")
+    try:
+        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise TypeError("header is not a JSON object")
+        spec = LatticeSpec.from_dict(header["lattice"])
+        t, step = float(header["t"]), int(header["step"])
+        metric_scale = float(header.get("metric_scale", 1.0))
+        prev = header.get("prev_record")
+        prev = (float(prev[0]), float(prev[1])) if prev is not None else None
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
     body = blob[16 + hlen:]
     expected = spec.n_points * 70 * 8
     if len(body) != expected:
         raise CheckpointError(
             f"{path}: payload is {len(body)} bytes, expected {expected}")
     phi = np.frombuffer(body, dtype="<f8").astype(float).reshape(spec.grid_shape + (70,))
-    state = FlowState(spec=spec, phi=phi, t=float(header["t"]),
-                      step=int(header["step"]),
-                      metric_scale=float(header.get("metric_scale", 1.0)))
-    prev = header.get("prev_record")
-    return LoadedCheckpoint(
-        state=state,
-        prev_record=(float(prev[0]), float(prev[1])) if prev is not None else None,
-        config_dict=header.get("config"),
-    )
+    state = FlowState(spec=spec, phi=phi, t=t, step=step, metric_scale=metric_scale)
+    return LoadedCheckpoint(state=state, prev_record=prev, config_dict=header.get("config"))
 
 
 def _fmt(x: float) -> str:
@@ -135,9 +140,7 @@ class SeriesWriter:
         self.rows.append(record.as_tuple())
 
     def flush(self) -> None:
-        lines = [",".join(self.columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in self.rows]
-        atomic_write_bytes(self.path, ("\n".join(lines) + "\n").encode("utf-8"))
+        write_series_csv(self.path, self.rows, self.columns)
 
 
 def write_series_csv(path: str, rows, columns) -> None:

@@ -9,19 +9,19 @@ expected convergence order instead of an absolute threshold.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, lattice, orbit
-from .algebra import (PHI0, QUADS, _perm_sign, decompose3, decompose4, diamond,
-                      endo_split, form_inner, hodge_star4, lambda_op,
-                      metric_from_form, pack4, pi7, pi21, triple_contract, unpack4)
+from .algebra import (PHI0, decompose3, decompose4, diamond, endo_split, form_inner,
+                      hodge_star4, lambda_op, metric_from_form, pack4, pi7, pi21,
+                      triple_contract, unpack4)
 from .flow import initial_data
 from .lattice import LatticeSpec
+from .octonion import OCT_TABLE
 
-__all__ = ["IdentityResult", "run_suite", "build_cayley_from_table"]
+__all__ = ["IdentityResult", "run_suite"]
 
 IDENTITY_TOL = 1e-12
 METRIC_TOL = 1e-10
@@ -40,28 +40,6 @@ class IdentityResult:
     def as_dict(self) -> dict:
         return {"name": self.name, "max_error": self.max_error,
                 "tolerance": self.tolerance, "passed": self.passed}
-
-
-def build_cayley_from_table(table: np.ndarray) -> np.ndarray:
-    """Rebuild the reference 4-form from a (possibly corrupted) product table."""
-    eye = np.eye(8)
-
-    def mul(a, b):
-        return np.einsum("i,j,ijk->k", a, b, table)
-
-    def conj(a):
-        out = a.copy()
-        out[1:] *= -1.0
-        return out
-
-    canon = np.zeros(70)
-    for c, quad in enumerate(QUADS):
-        val = 0.0
-        for perm in itertools.permutations(range(4)):
-            i, j, k, l = (quad[p] for p in perm)
-            val += _perm_sign(perm) * float(eye[i] @ mul(eye[j], mul(conj(eye[k]), eye[l])))
-        canon[c] = val / 24.0
-    return unpack4(canon)
 
 
 def _rotation_bank(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -117,12 +95,9 @@ def run_suite(seed: int = 20240801, n_rotations: int = 100,
     out: list[IdentityResult] = []
 
     if octonion_table is None:
-        from .octonion import OCT_TABLE as octonion_table_local
-        table = octonion_table_local
-        phi = PHI0
+        table, phi = OCT_TABLE, PHI0
     else:
-        table = octonion_table
-        phi = build_cayley_from_table(table)
+        table, phi = octonion_table, algebra._build_cayley(octonion_table)
 
     # composition algebra
     a = rng.standard_normal((64, 8))
@@ -282,7 +257,7 @@ def run_suite(seed: int = 20240801, n_rotations: int = 100,
             spec = LatticeSpec(active_axes=(0,), points=n, period=1.0, stencil_order=2)
             state = initial_data("rotation-field", {"eps": 0.05}, spec, seed=seed)
             phid = state.phi_dense()
-            grad = unpack4(lattice.fd_gradient(spec, state.phi))  # (n, 1, 8^4)
+            grad = unpack4(lattice.fd_gradient_generic(spec, state.phi))  # (n, 1, 8^4)
             g5 = np.abs(np.einsum("xmijkl,xabkl->xmijab", grad, phid)
                         + np.einsum("xijkl,xmabkl->xmijab", phid, grad)
                         + 4.0 * grad).max()

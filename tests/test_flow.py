@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from spin7 import lattice
 from spin7.algebra import diamond, pack4, pi21
-from spin7.flow import (FlowAbort, FlowConfig, energy_gradient_check, entropy,
-                        flow_step, initial_data, metric_drift, parabolic_rescale,
+from spin7.flow import (FlowAbort, FlowConfig, convexity_gap, energy_gradient_check,
+                        entropy, flow_step, initial_data, metric_drift, parabolic_rescale,
                         quartic_terms, run_flow, soliton_residual,
                         soliton_schedule, theta_functional,
                         torsion_evolution_residual)
@@ -485,8 +486,38 @@ def test_structure_preservation_short():
 # descriptive diagnostics
 
 
+@pytest.mark.parametrize("check", [
+    convexity_gap,
+    lambda sts: torsion_evolution_residual(*sts),
+    lambda sts: soliton_residual(sts[1], np.zeros(sts[1].spec.grid_shape + (8,))),
+], ids=["convexity_gap", "torsion_evolution_residual", "soliton_residual"])
+def test_checks_reject_rescaled_states(check):
+    spec = small_spec()
+    dt = 0.1 * spec.spacing**2
+    st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
+    states = (st, flow_step(st, dt), flow_step(flow_step(st, dt), dt))
+    check(states)
+    with pytest.raises(ValueError, match="unscaled"):
+        check(tuple(parabolic_rescale(x, 1.5)[0] for x in states))
+
+
+def test_run_flow_evaluates_each_state_once(monkeypatch):
+    calls = []
+    real_torsion = lattice.torsion
+
+    def counting_torsion(*args, **kwargs):
+        calls.append(1)
+        return real_torsion(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "torsion", counting_torsion)
+    cfg = FlowConfig(spec=small_spec(), params={"eps": 0.05}, seed=1, max_steps=6,
+                     diag_cadence=2, checkpoint_cadence=3)
+    res = run_flow(cfg)
+    assert res.state.step == 6 and len(res.records) == 4
+    assert len(calls) == 7  # states 0..6, each stepped or recorded from one evaluation
+
+
 def test_convexity_gap_along_run():
-    from spin7.flow import convexity_gap
     spec = small_spec(32)
     dt = 0.1 * spec.spacing**2
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from spin7.cli import main
 from spin7.flow import DiagRecord, initial_data
 from spin7.lattice import LatticeSpec
 from spin7.storage import (FORMAT_VERSION, CheckpointError, SeriesWriter,
@@ -61,6 +62,39 @@ def test_checkpoint_truncated_payload(tmp_path, state):
         fh.write(blob[:-16])
     with pytest.raises(CheckpointError, match="payload"):
         read_checkpoint(path)
+
+
+def _with_header(blob: bytes, header: dict) -> bytes:
+    """The checkpoint bytes with the header replaced, payload kept."""
+    hlen = int.from_bytes(blob[8:16], "little")
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + hlen:]
+
+
+def _header_of(blob: bytes) -> dict:
+    return json.loads(blob[16:16 + int.from_bytes(blob[8:16], "little")])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda b: b[:10],                                          # cut to 10 bytes
+    lambda b: b[:16] + b"\xff" + b[17:],                       # non-UTF-8 header byte
+    lambda b: b[:8] + (len(b)).to_bytes(8, "little") + b[16:],  # header length past EOF
+    lambda b: _with_header(b, {k: v for k, v in _header_of(b).items() if k != "t"}),
+    lambda b: _with_header(b, dict(_header_of(b), lattice={"points": 8})),
+], ids=["cut-10-bytes", "non-utf8-header", "header-past-eof", "missing-key",
+        "bad-lattice"])
+def test_checkpoint_corruption_is_typed(tmp_path, state, capsys, corrupt):
+    path = str(tmp_path / "c.s7fl")
+    write_checkpoint(path, state)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(corrupt(blob))
+    with pytest.raises(CheckpointError):
+        read_checkpoint(path)
+    assert main(["soliton-check", "--checkpoint", path,
+                 "--out-csv", str(tmp_path / "s.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_series_writer_full_precision(tmp_path):
