@@ -182,15 +182,15 @@ def form_inner(sigma: np.ndarray, tau: np.ndarray, degree: int) -> np.ndarray:
     return np.sum(sigma * tau, axis=axes) / math.factorial(degree)
 
 
-def pi7(beta: np.ndarray, phi: np.ndarray, metric_scale: float = 1.0) -> np.ndarray:
+def pi7(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Projection of a 2-form onto the 7-dimensional summand."""
-    contr = np.einsum("...ab,...abij->...ij", beta, phi) / metric_scale**2
+    contr = np.einsum("...ab,...abij->...ij", beta, phi)
     return 0.25 * beta - 0.125 * contr
 
 
-def pi21(beta: np.ndarray, phi: np.ndarray, metric_scale: float = 1.0) -> np.ndarray:
+def pi21(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Projection of a 2-form onto the 21-dimensional (stabiliser) summand."""
-    contr = np.einsum("...ab,...abij->...ij", beta, phi) / metric_scale**2
+    contr = np.einsum("...ab,...abij->...ij", beta, phi)
     return 0.75 * beta + 0.125 * contr
 
 

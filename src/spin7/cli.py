@@ -199,9 +199,12 @@ def _load_states(paths):
 def _parse_center(text: str | None, spec) -> tuple[int, ...]:
     if text is None:
         return (spec.points // 2,) * spec.n_axes
-    parts = tuple(int(x) for x in text.split(","))
+    try:
+        parts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != spec.n_axes:
-        raise ConfigError(f"--center needs {spec.n_axes} comma-separated indices")
+        raise ConfigError(f"--center needs {spec.n_axes} comma-separated indices, got {text!r}")
     return parts
 
 
@@ -209,6 +212,9 @@ def cmd_theta(args) -> int:
     states = _load_states(args.checkpoint)
     spec = states[0].spec
     center = _parse_center(args.center, spec)
+    latest = max(st.t for st in states)
+    if not args.t0 > latest:
+        raise ConfigError(f"--t0 {args.t0:g} must exceed every state time (latest {latest:g})")
     vals = flow.theta_functional(states, center, args.t0)
     rows = [(st.t, v) for st, v in zip(states, vals)]
     storage.write_series_csv(args.out_csv, rows, ("t", "theta"))
@@ -226,10 +232,20 @@ def cmd_entropy(args) -> int:
 
 def cmd_rescale(args) -> int:
     loaded = storage.read_checkpoint(args.checkpoint)
-    new_state, report = flow.parabolic_rescale(loaded.state, args.factor)
-    storage.write_checkpoint(args.out_checkpoint, new_state,
-                             prev_record=loaded.prev_record,
-                             config_dict=loaded.config_dict)
+    c = args.factor
+    new_state, report = flow.parabolic_rescale(loaded.state, c)
+    prev, raw = loaded.prev_record, loaded.config_dict
+    if prev is not None:
+        # E is the integral of |T|^2 (scaling c^-2) over a volume scaling c^8
+        prev = (c * c * prev[0], c**6 * prev[1])
+    if raw is not None:
+        # the same run on the larger torus, so that `flow resume` continues it
+        config = parse_config(raw)
+        raw = dict(raw, lattice=new_state.spec.to_dict(), div_tol=config.div_tol / c**2)
+        if config.t_end is not None:
+            raw["t_end"] = c * c * config.t_end
+    storage.write_checkpoint(args.out_checkpoint, new_state, prev_record=prev,
+                             config_dict=raw)
     if args.report_csv:
         cols = tuple(sorted(report))
         storage.write_series_csv(args.report_csv, [tuple(report[c] for c in cols)], cols)
@@ -251,6 +267,17 @@ def cmd_soliton_check(args) -> int:
     storage.write_series_csv(args.out_csv, [(state.t, residual)], ("t", "residual"))
     print(f"soliton residual at t={state.t:.6g}: {residual:.16e} -> {args.out_csv}")
     return 0
+
+
+def _positive(kind):
+    """argparse type: a finite number of the given kind above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < float("inf"):
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive {kind.__name__}"  # argparse names it in the error
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,15 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     en = sub.add_parser("entropy", help="scale-maximized torsion concentration")
     en.add_argument("--checkpoint", required=True)
-    en.add_argument("--sigma", type=float, required=True)
-    en.add_argument("--t-samples", type=int, default=16)
-    en.add_argument("--x-stride", type=int, default=1)
+    en.add_argument("--sigma", type=_positive(float), required=True)
+    en.add_argument("--t-samples", type=_positive(int), default=16)
+    en.add_argument("--x-stride", type=_positive(int), default=1)
     en.add_argument("--out-csv", required=True)
     en.set_defaults(func=cmd_entropy)
 
     rs = sub.add_parser("rescale", help="parabolic rescaling with exactness report")
     rs.add_argument("--checkpoint", required=True)
-    rs.add_argument("--factor", type=float, required=True)
+    rs.add_argument("--factor", type=_positive(float), required=True)
     rs.add_argument("--out-checkpoint", required=True)
     rs.add_argument("--report-csv", default=None)
     rs.set_defaults(func=cmd_rescale)

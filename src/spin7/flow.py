@@ -60,16 +60,13 @@ class FlowAbort(RuntimeError):
 class FlowState:
     """A 4-form field on the lattice plus the simulation clock.
 
-    phi is canonical storage, shape grid_shape + (70,).  metric_scale is the
-    uniform conformal factor of the induced metric (1 except for states
-    produced by parabolic_rescale).
+    phi is canonical storage, shape grid_shape + (70,).
     """
 
     spec: LatticeSpec
     phi: np.ndarray
     t: float = 0.0
     step: int = 0
-    metric_scale: float = 1.0
 
     def phi_dense(self) -> np.ndarray:
         return unpack4(self.phi)
@@ -236,23 +233,20 @@ def evaluate(state: FlowState) -> Evaluation:
     step, the diagnostics record and every check read them from here.
     """
     phi_d = state.phi_dense()
-    t_field = lattice.torsion(state.spec, state.phi, state.metric_scale, phi_dense=phi_d)
-    gen = lattice.div_torsion(state.spec, t_field, metric_scale=state.metric_scale,
-                              project=True, phi_dense=phi_d)
+    t_field = lattice.torsion(state.spec, state.phi, phi_dense=phi_d)
+    gen = lattice.div_torsion(state.spec, t_field, project=True, phi_dense=phi_d)
     return Evaluation(phi_d, t_field, gen)
 
 
 def _advance(state: FlowState, ev: Evaluation, dt: float, raw_euler: bool) -> FlowState:
     if not np.all(np.isfinite(ev.gen)):
         raise FlowAbort(f"non-finite update generator at t={state.t:.6g}, step {state.step}")
-    # one index of the generator is raised when acting on the form
-    gen_matrix = (dt / state.metric_scale) * ev.gen
+    gen_matrix = dt * ev.gen
     if raw_euler:
         new_dense = ev.phi_d + algebra.diamond(gen_matrix, ev.phi_d)
     else:
         new_dense = orbit.rotate_form(orbit.so8_exp(gen_matrix, check=False), ev.phi_d)
-    return FlowState(spec=state.spec, phi=pack4(new_dense), t=state.t + dt,
-                     step=state.step + 1, metric_scale=state.metric_scale)
+    return FlowState(spec=state.spec, phi=pack4(new_dense), t=state.t + dt, step=state.step + 1)
 
 
 def flow_step(state: FlowState, dt: float, raw_euler: bool = False) -> FlowState:
@@ -261,21 +255,21 @@ def flow_step(state: FlowState, dt: float, raw_euler: bool = False) -> FlowState
 
 
 def metric_drift(state: FlowState) -> float:
-    """Max over grid and entries of |metric_from_form(phi) - s * identity|."""
+    """Max over grid and entries of |metric_from_form(phi) - identity|."""
     g = metric_from_form(state.phi_dense())
-    return float(np.abs(g - state.metric_scale * np.eye(8)).max())
+    return float(np.abs(g - np.eye(8)).max())
 
 
 def _record(state: FlowState, ev: Evaluation, prev: tuple[float, float] | None) -> DiagRecord:
-    spec, s = state.spec, state.metric_scale
-    e = lattice.energy(spec, ev.t_field, s)
+    spec = state.spec
+    e = lattice.energy(spec, ev.t_field)
     gen_sq = np.einsum("...ab,...ab->...", ev.gen, ev.gen)
-    neg_div2 = -lattice.integrate(spec, gen_sq / s**2, s)
+    neg_div2 = -lattice.integrate(spec, gen_sq)
     if prev is None or state.t == prev[0]:
         dedt = 0.0
     else:
         dedt = (e - prev[1]) / (state.t - prev[0])
-    gen_defect = pi21(ev.gen, ev.phi_d, metric_scale=s)
+    gen_defect = pi21(ev.gen, ev.phi_d)
     # the scalar residual is the trace of the Ricci residual field
     ricci = lattice.ricci_residual(spec, ev.t_field, return_field=True)
     return DiagRecord(
@@ -283,7 +277,7 @@ def _record(state: FlowState, ev: Evaluation, prev: tuple[float, float] | None) 
         E=e,
         dEdt=dedt,
         negDivT2=neg_div2,
-        maxT=lattice.max_torsion(spec, ev.t_field, s),
+        maxT=lattice.max_torsion(spec, ev.t_field),
         bianchi=lattice.bianchi_residual(spec, ev.t_field),
         ricci=float(np.abs(ricci).max()),
         scalar=float(np.abs(np.einsum("...ii->...", ricci)).max()),
@@ -350,7 +344,7 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
         if config.t_end is not None and state.t >= config.t_end - 1e-15 * max(1.0, abs(config.t_end)):
             exit_reason = "t_end"
             break
-        sup_t = lattice.max_torsion(config.spec, ev.t_field, state.metric_scale)
+        sup_t = lattice.max_torsion(config.spec, ev.t_field)
         if not math.isfinite(sup_t):
             raise FlowAbort(f"non-finite torsion at step {state.step}")
         if sup_t > blowup_ceiling:
@@ -382,15 +376,14 @@ def energy_gradient_check(state: FlowState, direction: np.ndarray, eps: float) -
 
     direction is a pointwise 2-form field X, expected in the 7-summand.
     """
-    spec, s = state.spec, state.metric_scale
+    spec = state.spec
     ev = evaluate(state)
-    predicted = -lattice.integrate(
-        spec, np.einsum("...ab,...ab->...", ev.gen, direction) / s**2, s)
+    predicted = -lattice.integrate(spec, np.einsum("...ab,...ab->...", ev.gen, direction))
     energies = []
     for sign in (+1.0, -1.0):
-        rot = orbit.so8_exp(sign * eps / s * direction, check=False)
+        rot = orbit.so8_exp(sign * eps * direction, check=False)
         moved = replace(state, phi=pack4(orbit.rotate_form(rot, ev.phi_d)))
-        energies.append(lattice.energy(spec, evaluate(moved).t_field, s))
+        energies.append(lattice.energy(spec, evaluate(moved).t_field))
     fd = (energies[0] - energies[1]) / (2.0 * eps)
     denom = max(abs(predicted), 1e-300)
     return abs(fd - predicted) / denom
@@ -409,12 +402,10 @@ def torsion_evolution_residual(prev: FlowState, mid: FlowState, nxt: FlowState) 
     """Max-norm residual of the flat-torus |T|^2 evolution equation
     2 d|T|^2/dt = 2 lap |T|^2 - 4 |grad T|^2 + quartic terms,
     with the time derivative by central difference across three states.
-    Defined for unscaled states (metric_scale 1), the only ones runs produce.
     """
     spec = mid.spec
     if prev.spec != spec or nxt.spec != spec:
         raise ValueError("states live on different lattices")
-    _require_unscaled((prev, mid, nxt), "torsion_evolution_residual")
     t_prev, t_field, t_next = (evaluate(st).t_field for st in (prev, mid, nxt))
     tsq = [lattice.torsion_norm_sq(tf) for tf in (t_prev, t_field, t_next)]
     dt_minus, dt_plus = mid.t - prev.t, nxt.t - mid.t
@@ -436,9 +427,9 @@ def theta_functional(states, center: tuple[int, ...], t0: float) -> np.ndarray:
         tau = t0 - st.t
         if tau <= 0:
             raise ValueError(f"state time {st.t} is not below the horizon {t0}")
-        w = heat_weights(st.spec, center, tau, st.metric_scale)
-        tsq = lattice.torsion_norm_sq(evaluate(st).t_field, st.metric_scale)
-        out.append(tau * lattice.integrate(st.spec, tsq * w, st.metric_scale))
+        w = heat_weights(st.spec, center, tau)
+        tsq = lattice.torsion_norm_sq(evaluate(st).t_field)
+        out.append(tau * lattice.integrate(st.spec, tsq * w))
     return np.array(out)
 
 
@@ -449,15 +440,15 @@ def entropy(state: FlowState, sigma: float, t_samples: int = 16, x_stride: int =
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     spec = state.spec
-    tsq = lattice.torsion_norm_sq(evaluate(state).t_field, state.metric_scale)
+    tsq = lattice.torsion_norm_sq(evaluate(state).t_field)
     taus = sigma * np.power(2.0, -np.arange(t_samples, dtype=float)[::-1])
     centers = np.ndindex(*(max(1, spec.points // max(1, x_stride)),) * spec.n_axes)
     best = 0.0
     for cidx in centers:
         c = tuple(i * x_stride for i in cidx)
         for tau in taus:
-            w = heat_weights(spec, c, float(tau), state.metric_scale)
-            val = float(tau) * lattice.integrate(spec, tsq * w, state.metric_scale)
+            w = heat_weights(spec, c, float(tau))
+            val = float(tau) * lattice.integrate(spec, tsq * w)
             if val > best:
                 best = val
     return best
@@ -527,19 +518,11 @@ def soliton_schedule(c: int, p: float = 0.5) -> SolitonSchedule:
     return SolitonSchedule(c=c, p=p, t_hat=t_hat, interval=interval)
 
 
-def _require_unscaled(states, name: str) -> None:
-    # these checks' right-hand sides are written for the unit metric
-    if any(st.metric_scale != 1.0 for st in states):
-        raise ValueError(f"{name} expects unscaled states (metric_scale 1)")
-
-
 def soliton_residual(state: FlowState, x_field: np.ndarray) -> float:
     """Max-norm of Div T - X . T - pi7(skew grad X), zero for steady solitons.
 
     x_field is a vector field on the grid, shape grid_shape + (8,).
-    Defined for unscaled states (metric_scale 1), the only ones runs produce.
     """
-    _require_unscaled((state,), "soliton_residual")
     ev = evaluate(state)
     x_hook_t = np.einsum("...m,...mab->...ab", x_field, ev.t_field)
     gx = lattice.fd_gradient_embedded(state.spec, x_field)
@@ -554,12 +537,11 @@ def convexity_gap(states, lowest_eigenvalue: float | None = None):
     nonzero eigenvalue of the rough Laplacian on 2-forms; on the flat torus
     Lam = (2 pi / L)^2 for the lowest mode.
 
-    Takes three consecutive unscaled states (metric_scale 1); returns
-    (lhs, rhs, gap) with gap = lhs - rhs (nonnegative when the bound holds).
+    Takes three consecutive states; returns (lhs, rhs, gap) with
+    gap = lhs - rhs (nonnegative when the bound holds).
     """
     prev, mid, nxt = states
     spec = mid.spec
-    _require_unscaled(states, "convexity_gap")
     if lowest_eigenvalue is None:
         lowest_eigenvalue = (2.0 * np.pi / spec.period) ** 2
     ev = evaluate(mid)
@@ -593,30 +575,28 @@ def fit_type1_exponent(times, sup_torsion, blowup_time: float):
 # parabolic rescaling
 
 def parabolic_rescale(state: FlowState, c: float):
-    """Rescaled state (phi -> c^4 phi, metric -> c^2 g, t -> c^2 t) plus an
-    exactness report for the torsion and divergence scaling identities."""
+    """Rescaled state (same components on period c L, t -> c^2 t) plus the
+    relative errors of T -> T/c, Div T -> Div T/c^2 and, for j = 0, 1,
+    |grad^j T| -> |grad^j T|/c^(1+j); the metric c^2 g on period L is the
+    identity metric on period c L in the coordinates y = c x."""
     if not c > 0:
         raise ValueError("rescale factor must be positive")
-    spec, s = state.spec, state.metric_scale
-    new = FlowState(spec=spec, phi=c**4 * state.phi, t=c * c * state.t,
-                    step=state.step, metric_scale=c * c * s)
+    new = FlowState(spec=replace(state.spec, period=c * state.spec.period),
+                    phi=state.phi, t=c * c * state.t, step=state.step)
     t_old, div_old = evaluate(state)[1:]
     t_new, div_new = evaluate(new)[1:]
-    scale = max(float(np.abs(t_old).max()), 1e-300)
-    dscale = max(float(np.abs(div_old).max()), 1e-300)
-    gt_old = lattice.fd_gradient_generic(spec, t_old)
-    gt_new = lattice.fd_gradient_generic(spec, t_new)
+    gt_old = lattice.fd_gradient_generic(state.spec, t_old)
+    gt_new = lattice.fd_gradient_generic(new.spec, t_new)
 
-    def g_norm(arr, ms, n_lower):
-        return float(np.sqrt(np.sum(arr * arr) / ms**n_lower))
+    def rel_err(new_val, old_val, power):
+        expected = old_val / c**power
+        scale = max(float(np.abs(expected).max()), 1e-300)
+        return float(np.abs(new_val - expected).max()) / scale
 
     report = {
-        "torsion_scaling": float(np.abs(t_new - c * c * t_old).max()) / scale,
-        "divergence_scaling": float(np.abs(div_new - div_old).max()) / dscale,
-        # |grad^j T|_g scales by c^-(1+j): compare squared norms
-        "norm_scaling_j0": abs(g_norm(t_new, new.metric_scale, 3)
-                               - g_norm(t_old, s, 3) / c),
-        "norm_scaling_j1": abs(g_norm(gt_new, new.metric_scale, 4)
-                               - g_norm(gt_old, s, 4) / c**2),
+        "torsion_scaling": rel_err(t_new, t_old, 1),
+        "divergence_scaling": rel_err(div_new, div_old, 2),
+        "norm_scaling_j0": rel_err(np.linalg.norm(t_new), np.linalg.norm(t_old), 1),
+        "norm_scaling_j1": rel_err(np.linalg.norm(gt_new), np.linalg.norm(gt_old), 2),
     }
     return new, report

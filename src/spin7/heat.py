@@ -35,26 +35,18 @@ def periodized_gaussian_1d(d: np.ndarray, tau: float, period: float) -> np.ndarr
     return total / np.sqrt(4.0 * np.pi * tau)
 
 
-def heat_weights(spec: LatticeSpec, center: tuple[int, ...], tau: float,
-                 metric_scale: float = 1.0) -> np.ndarray:
-    """Grid of kernel values u(x) centered at a grid point, time-to-center tau.
-
-    Distances are measured in the (possibly uniformly scaled) metric, and
-    the kernel normalizes against the scaled volume, so for a rescaled
-    state the weights transform exactly as the 8-d kernel does.
-    """
+def heat_weights(spec: LatticeSpec, center: tuple[int, ...], tau: float) -> np.ndarray:
+    """Grid of kernel values u(x) centered at a grid point, time-to-center tau."""
     if len(center) != spec.n_axes:
         raise ValueError("center must give one grid index per active axis")
-    s = np.sqrt(metric_scale)  # length scale factor per coordinate distance
     out = np.ones(spec.grid_shape)
     x = np.arange(spec.points) * spec.spacing
     for axis, c in enumerate(center):
-        d = (x - x[int(c) % spec.points]) * s
-        w = periodized_gaussian_1d(d, tau, spec.period * s)
+        w = periodized_gaussian_1d(x - x[int(c) % spec.points], tau, spec.period)
         shape = [1] * spec.n_axes
         shape[axis] = spec.points
         out = out * w.reshape(shape)
-    # inactive axes: kernel integrates to 1 against the scaled length element,
-    # contributing 1/(L*s) per axis as a density on the full torus
-    out = out / (spec.period * s) ** (8 - spec.n_axes)
+    # inactive axes: kernel integrates to 1 per axis, contributing 1/L per
+    # axis as a density on the full torus
+    out = out / spec.period ** (8 - spec.n_axes)
     return out

@@ -7,9 +7,9 @@ axis per active axis, then the tensor axes, e.g. a 4-form field is
 
 Torsion and the curvature-identity residuals follow the coordinate
 expressions valid on the flat torus, where the connection is plain
-coordinate differentiation.  A uniform conformal metric factor
-(metric g = s * identity) threads through the contractions so parabolic
-rescalings stay exact; s = 1 everywhere except in rescaling checks.
+coordinate differentiation and the metric is the identity.  A parabolic
+rescaling by c is the same form on the torus of period c * L, so no metric
+factor threads through the contractions.
 
 Derivative stencils are central, order 2 or 4, with periodic wrap; grid
 reductions go through numpy's pairwise summation, which is deterministic
@@ -170,26 +170,25 @@ def fd_gradient_embedded(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
     return _embed_m_axis(spec, fd_gradient_generic(spec, values), spec.n_axes)
 
 
-def torsion(spec: LatticeSpec, phi_canon: np.ndarray, metric_scale: float = 1.0,
+def torsion(spec: LatticeSpec, phi_canon: np.ndarray,
             phi_dense: np.ndarray | None = None) -> np.ndarray:
     """Full torsion field T[..., m, a, b], skew-symmetrized in (a, b).
 
-    T_m = (1/96) (d_m phi . phi) with three contraction slots raised by the
-    uniform metric, i.e. an s**-3 factor.  Inactive m-slices are zero.
+    T_m = (1/96) (d_m phi . phi), contracted over three slots.  Inactive
+    m-slices are zero.
     phi_dense may pass a precomputed dense view of the same field.
     """
     grad_d = unpack4(fd_gradient_generic(spec, phi_canon))    # grid + (k, 8,8,8,8)
     if phi_dense is None:
         phi_dense = unpack4(phi_canon)
     raw = np.einsum("...majkl,...bjkl->...mab", grad_d, phi_dense)
-    raw = 0.5 * (raw - np.swapaxes(raw, -1, -2)) / (96.0 * metric_scale**3)
+    raw = 0.5 * (raw - np.swapaxes(raw, -1, -2)) / 96.0
     return _embed_m_axis(spec, raw, raw.ndim - 3)
 
 
 def div_torsion(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray | None = None,
-                metric_scale: float = 1.0, project: bool = True,
-                phi_dense: np.ndarray | None = None) -> np.ndarray:
-    """Divergence over the m-slot, (Div T)_ab = g^mn d_n T_m;ab.
+                project: bool = True, phi_dense: np.ndarray | None = None) -> np.ndarray:
+    """Divergence over the m-slot, (Div T)_ab = d_m T_m;ab.
 
     With project=True (the flow's convention) the output is pi7-projected
     pointwise, which needs the 4-form field (canonical or dense).
@@ -199,42 +198,39 @@ def div_torsion(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray | 
     for grid_axis, m_slot in enumerate(spec.active_axes):
         term = _d1(t_field[..., m_slot, :, :], grid_axis, h, order)
         out = term if out is None else out + term
-    out = out / metric_scale
     if project:
         if phi_dense is None:
             if phi_canon is None:
                 raise ValueError("pi7 projection of the divergence needs the 4-form field")
             phi_dense = unpack4(phi_canon)
-        out = pi7(out, phi_dense, metric_scale=metric_scale)
+        out = pi7(out, phi_dense)
     return out
 
 
-def torsion_norm_sq(t_field: np.ndarray, metric_scale: float = 1.0) -> np.ndarray:
-    """Pointwise |T|^2 with the three slots raised by the uniform metric."""
-    return np.einsum("...mab,...mab->...", t_field, t_field) / metric_scale**3
+def torsion_norm_sq(t_field: np.ndarray) -> np.ndarray:
+    """Pointwise |T|^2, the full contraction over all three slots."""
+    return np.einsum("...mab,...mab->...", t_field, t_field)
 
 
-def energy(spec: LatticeSpec, t_field: np.ndarray, metric_scale: float = 1.0) -> float:
+def energy(spec: LatticeSpec, t_field: np.ndarray) -> float:
     """Half the integral of |T|^2 over the full torus (Riemann sum)."""
-    dvol = spec.cell_volume * metric_scale**4
-    return 0.5 * float(np.sum(torsion_norm_sq(t_field, metric_scale))) * dvol
+    return 0.5 * float(np.sum(torsion_norm_sq(t_field))) * spec.cell_volume
 
 
-def max_torsion(spec: LatticeSpec, t_field: np.ndarray, metric_scale: float = 1.0) -> float:
+def max_torsion(spec: LatticeSpec, t_field: np.ndarray) -> float:
     """Sup over the grid of the pointwise torsion norm."""
-    return float(np.sqrt(np.max(torsion_norm_sq(t_field, metric_scale))))
+    return float(np.sqrt(np.max(torsion_norm_sq(t_field))))
 
 
-def integrate(spec: LatticeSpec, pointwise: np.ndarray, metric_scale: float = 1.0) -> float:
+def integrate(spec: LatticeSpec, pointwise: np.ndarray) -> float:
     """Riemann sum of a pointwise scalar over the torus."""
-    return float(np.sum(pointwise)) * spec.cell_volume * metric_scale**4
+    return float(np.sum(pointwise)) * spec.cell_volume
 
 
-def omega21_defect(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray,
-                   metric_scale: float = 1.0) -> float:
+def omega21_defect(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray) -> float:
     """Max over grid and m of the Frobenius norm of pi21(T_m)."""
     phi_d = unpack4(phi_canon)
-    defect = pi21(np.moveaxis(t_field, -3, 0), phi_d[None], metric_scale=metric_scale)
+    defect = pi21(np.moveaxis(t_field, -3, 0), phi_d[None])
     return float(np.sqrt(np.max(np.sum(defect * defect, axis=(-1, -2)))))
 
 

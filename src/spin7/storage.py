@@ -5,9 +5,9 @@ Checkpoint layout (version 1):
     bytes 0-3    magic "S7FL"
     bytes 4-7    format version, uint32 little-endian
     bytes 8-15   header length H, uint64 little-endian
-    next H       header, UTF-8 JSON: lattice spec, t, step, metric_scale,
-                 previous-record (t, E) for seamless resume, and the full
-                 run config when written by the CLI
+    next H       header, UTF-8 JSON: lattice spec, t, step, previous-record
+                 (t, E) for seamless resume, and the full run config when
+                 written by the CLI
     rest         field payload: float64 little-endian, row-major over the
                  grid, 70 canonical components per point
 
@@ -68,7 +68,6 @@ def write_checkpoint(path: str, state: FlowState,
         "lattice": state.spec.to_dict(),
         "t": state.t,
         "step": state.step,
-        "metric_scale": state.metric_scale,
     }
     if prev_record is not None:
         header["prev_record"] = [prev_record[0], prev_record[1]]
@@ -107,7 +106,10 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
             raise TypeError("header is not a JSON object")
         spec = LatticeSpec.from_dict(header["lattice"])
         t, step = float(header["t"]), int(header["step"])
-        metric_scale = float(header.get("metric_scale", 1.0))
+        if float(header.get("metric_scale", 1.0)) != 1.0:
+            # a legacy conformal factor: rescaled states now live on a larger period
+            raise ValueError("metric_scale is no longer read; re-run `spin7 rescale` "
+                             "from the unscaled checkpoint")
         prev = header.get("prev_record")
         prev = (float(prev[0]), float(prev[1])) if prev is not None else None
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
@@ -119,7 +121,7 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
         raise CheckpointError(
             f"{path}: payload is {len(body)} bytes, expected {expected}")
     phi = np.frombuffer(body, dtype="<f8").astype(float).reshape(spec.grid_shape + (70,))
-    state = FlowState(spec=spec, phi=phi, t=t, step=step, metric_scale=metric_scale)
+    state = FlowState(spec=spec, phi=phi, t=t, step=step)
     return LoadedCheckpoint(state=state, prev_record=prev, config_dict=header.get("config"))
 
 

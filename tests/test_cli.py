@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from spin7.flow import DIAG_COLUMNS
 from spin7.storage import read_checkpoint
 
 SMALL_CONFIG = {
@@ -193,6 +194,68 @@ def test_rescale_then_theta_invariance(full_run, tmp_path):
     v1 = float(base_csv.read_text().splitlines()[1].split(",")[1])
     v2 = float(resc_csv.read_text().splitlines()[1].split(",")[1])
     assert v2 == pytest.approx(v1, rel=1e-3)
+
+
+def test_resume_of_rescaled_checkpoint_is_the_rescaled_run(full_run, tmp_path):
+    """Rescaling by 2 maps the run onto the torus of period 2 exactly (every
+    factor is a power of two), so its resumed series is the unscaled one
+    with each column scaled, and the forms stay bit-identical."""
+    resc = tmp_path / "resc.s7fl"
+    proc = run_cli("rescale", "--checkpoint", str(full_run / "ckpt_00000020.s7fl"),
+                   "--factor", "2", "--out-checkpoint", str(resc))
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "resumed"
+    proc = run_cli("flow", "resume", "--checkpoint", str(resc), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    factor = {"t": 4.0, "E": 64.0, "dEdt": 16.0, "negDivT2": 16.0, "maxT": 0.5,
+              "bianchi": 0.25, "ricci": 0.25, "scalar": 0.25, "metric_drift": 1.0,
+              "omega21_defect": 0.25}
+    full = np.loadtxt(full_run / "series.csv", delimiter=",", skiprows=1, ndmin=2)
+    resumed = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(resumed) == 2
+    np.testing.assert_array_equal(
+        resumed, full[-len(resumed):] * [factor[c] for c in DIAG_COLUMNS])
+    a = read_checkpoint(str(full_run / "ckpt_00000040.s7fl"))
+    b = read_checkpoint(str(out / "ckpt_00000040.s7fl"))
+    assert a.state.phi.tobytes() == b.state.phi.tobytes()
+    assert b.state.spec.period == 2.0 and b.state.t == 4.0 * a.state.t
+
+
+def test_soliton_check_on_rescaled_checkpoint(full_run, tmp_path):
+    ck = str(full_run / "ckpt_00000040.s7fl")
+    resc = str(tmp_path / "resc.s7fl")
+    assert run_cli("rescale", "--checkpoint", ck, "--factor", "2",
+                   "--out-checkpoint", resc).returncode == 0
+    residuals = []
+    for path in (ck, resc):
+        csv = tmp_path / "sol.csv"
+        proc = run_cli("soliton-check", "--checkpoint", path, "--out-csv", str(csv))
+        assert proc.returncode == 0, proc.stderr
+        residuals.append(float(csv.read_text().splitlines()[1].split(",")[1]))
+    assert residuals[1] == 0.25 * residuals[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["entropy", "--sigma", "-1"],
+    ["entropy", "--sigma", "0.01", "--t-samples", "0"],
+    ["entropy", "--sigma", "0.01", "--x-stride", "0"],
+    ["rescale", "--factor", "0", "--out-checkpoint", "{tmp}/r.s7fl"],
+    ["rescale", "--factor", "nan", "--out-checkpoint", "{tmp}/r.s7fl"],
+    ["theta", "--t0", "{t}"],
+    ["theta", "--t0", "0"],
+    ["theta", "--t0", "1.0", "--center", "a"],
+], ids=["entropy-sigma", "entropy-t-samples", "entropy-x-stride", "rescale-factor-0",
+        "rescale-factor-nan", "theta-t0-at-state", "theta-t0-below-state",
+        "theta-center"])
+def test_bad_arguments_exit_2(full_run, tmp_path, args):
+    ck = str(full_run / "ckpt_00000040.s7fl")
+    t = repr(read_checkpoint(ck).state.t)
+    args = [a.format(tmp=tmp_path, t=t) for a in args]
+    if args[0] != "rescale":
+        args += ["--out-csv", str(tmp_path / "x.csv")]
+    proc = run_cli(*args, "--checkpoint", ck)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_soliton_check_matches_divergence(full_run, tmp_path):

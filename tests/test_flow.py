@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -415,18 +417,19 @@ def test_rescale_identity_factor():
 def test_rescale_exact_identities(c):
     st = initial_data("rotation-field", {"eps": 0.05}, small_spec(32), seed=1)
     new, report = parabolic_rescale(st, c)
-    assert new.metric_scale == c * c
+    assert new.spec == replace(st.spec, period=c * st.spec.period)
+    np.testing.assert_array_equal(new.phi, st.phi)
     assert new.t == c * c * st.t
     assert max(report.values()) < 1e-12
 
 
-def test_rescale_componentwise_factor_four():
+def test_rescale_componentwise_factor_half():
     spec = small_spec(32)
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     t_old = torsion(spec, st.phi)
     new, _ = parabolic_rescale(st, 2.0)
-    t_new = torsion(spec, new.phi, metric_scale=new.metric_scale)
-    np.testing.assert_allclose(t_new, 4.0 * t_old, rtol=1e-13, atol=1e-16)
+    t_new = torsion(new.spec, new.phi)
+    np.testing.assert_allclose(t_new, 0.5 * t_old, rtol=1e-13, atol=1e-16)
 
 
 def test_rescale_rejects_nonpositive():
@@ -486,19 +489,22 @@ def test_structure_preservation_short():
 # descriptive diagnostics
 
 
-@pytest.mark.parametrize("check", [
-    convexity_gap,
-    lambda sts: torsion_evolution_residual(*sts),
-    lambda sts: soliton_residual(sts[1], np.zeros(sts[1].spec.grid_shape + (8,))),
+@pytest.mark.parametrize("check, power", [
+    (convexity_gap, 2),
+    (lambda sts: torsion_evolution_residual(*sts), -4),
+    (lambda sts: soliton_residual(sts[1], np.zeros(sts[1].spec.grid_shape + (8,))), -2),
 ], ids=["convexity_gap", "torsion_evolution_residual", "soliton_residual"])
-def test_checks_reject_rescaled_states(check):
+@pytest.mark.parametrize("c", [2.0, 1.5])
+def test_checks_scale_on_rescaled_states(check, power, c):
+    """A rescaled triple is an ordinary one on the larger torus: each check
+    scales homogeneously, by c^power."""
     spec = small_spec()
     dt = 0.1 * spec.spacing**2
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     states = (st, flow_step(st, dt), flow_step(flow_step(st, dt), dt))
-    check(states)
-    with pytest.raises(ValueError, match="unscaled"):
-        check(tuple(parabolic_rescale(x, 1.5)[0] for x in states))
+    base = np.atleast_1d(check(states))
+    scaled = np.atleast_1d(check(tuple(parabolic_rescale(x, c)[0] for x in states)))
+    np.testing.assert_allclose(scaled, c**power * base, rtol=1e-12, atol=0)
 
 
 def test_run_flow_evaluates_each_state_once(monkeypatch):
@@ -610,7 +616,7 @@ def test_rescaling_commutes_with_stepping():
         lhs = flow_step(parabolic_rescale(st, c)[0], c * c * dt)
         rhs = parabolic_rescale(flow_step(st, dt), c)[0]
         np.testing.assert_allclose(lhs.phi, rhs.phi, rtol=0, atol=1e-13)
-        assert lhs.t == rhs.t and lhs.metric_scale == rhs.metric_scale
+        assert lhs.t == rhs.t and lhs.spec == rhs.spec
 
 
 def test_gradient_budget_constants_stable():

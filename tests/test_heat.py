@@ -43,10 +43,10 @@ def test_weights_unit_mass(tau):
 
 
 def test_weights_unit_mass_scaled():
-    spec = LatticeSpec(active_axes=(0,), points=64)
-    for scale in (0.25, 4.0):
-        w = heat_weights(spec, (10,), 0.01, metric_scale=scale)
-        assert integrate(spec, w, metric_scale=scale) == pytest.approx(1.0, rel=1e-8)
+    for period in (0.5, 2.0):
+        spec = LatticeSpec(active_axes=(0,), points=64, period=period)
+        w = heat_weights(spec, (10,), 0.01)
+        assert integrate(spec, w) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_weights_peak_at_center():

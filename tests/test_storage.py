@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spin7.cli import main
 from spin7.flow import DiagRecord, initial_data
@@ -81,8 +83,9 @@ def _header_of(blob: bytes) -> dict:
     lambda b: b[:8] + (len(b)).to_bytes(8, "little") + b[16:],  # header length past EOF
     lambda b: _with_header(b, {k: v for k, v in _header_of(b).items() if k != "t"}),
     lambda b: _with_header(b, dict(_header_of(b), lattice={"points": 8})),
+    lambda b: _with_header(b, dict(_header_of(b), metric_scale=4.0)),
 ], ids=["cut-10-bytes", "non-utf8-header", "header-past-eof", "missing-key",
-        "bad-lattice"])
+        "bad-lattice", "legacy-metric-scale"])
 def test_checkpoint_corruption_is_typed(tmp_path, state, capsys, corrupt):
     path = str(tmp_path / "c.s7fl")
     write_checkpoint(path, state)
@@ -95,6 +98,68 @@ def test_checkpoint_corruption_is_typed(tmp_path, state, capsys, corrupt):
     assert main(["soliton-check", "--checkpoint", path,
                  "--out-csv", str(tmp_path / "s.csv")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_checkpoint_legacy_unit_metric_scale_accepted(tmp_path, state):
+    path = str(tmp_path / "l.s7fl")
+    write_checkpoint(path, state)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    assert "metric_scale" not in _header_of(blob)
+    with open(path, "wb") as fh:
+        fh.write(_with_header(blob, dict(_header_of(blob), metric_scale=1.0)))
+    np.testing.assert_array_equal(read_checkpoint(path).state.phi, state.phi)
+
+
+@pytest.fixture(scope="module")
+def blobs(tmp_path_factory):
+    """A valid checkpoint's bytes, and the same with a legacy metric_scale 4."""
+    path = str(tmp_path_factory.mktemp("blob") / "v.s7fl")
+    spec = LatticeSpec(active_axes=(0,), points=8)
+    write_checkpoint(path, initial_data("rotation-field", {"eps": 0.05}, spec, seed=2),
+                     prev_record=(0.1, 2.5), config_dict={"x": 1})
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    return blob, _with_header(blob, dict(_header_of(blob), metric_scale=4.0))
+
+
+# the 16-byte preamble and the header (about 150 bytes) matter most; the
+# payload (4480 bytes) is any float64 bytes
+_POSITION = st.one_of(st.integers(0, 256), st.integers(0, 4800))
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), _POSITION, st.integers(1, 255)),
+    st.tuples(st.just("truncate"), _POSITION, st.just(b"")),
+    st.tuples(st.just("insert"), _POSITION, st.binary(min_size=1, max_size=8)),
+)
+
+
+def _mutate(blob: bytes, mutations) -> bytes:
+    out = bytearray(blob)
+    for kind, pos, arg in mutations:
+        pos = min(pos, len(out))
+        if kind == "flip" and pos < len(out):
+            out[pos] ^= arg
+        elif kind == "truncate":
+            del out[pos:]
+        elif kind == "insert":
+            out[pos:pos] = arg
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(legacy=st.booleans(), mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_checkpoint_byte_mutation_is_typed(tmp_path, blobs, legacy, mutations):
+    """A mutated checkpoint either reads as a state or raises
+    CheckpointError, never another exception."""
+    path = str(tmp_path / "m.s7fl")
+    with open(path, "wb") as fh:
+        fh.write(_mutate(blobs[legacy], mutations))
+    try:
+        loaded = read_checkpoint(path)
+    except CheckpointError:
+        return
+    assert loaded.state.phi.shape == loaded.state.spec.grid_shape + (70,)
 
 
 def test_series_writer_full_precision(tmp_path):
