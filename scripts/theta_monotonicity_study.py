@@ -53,9 +53,13 @@ def main():
         vr = theta_functional(rs, center, c * c * t0)
         print(f"scale invariance c={c}: max rel err {np.abs(vr / vals - 1).max():.2e}")
 
-    # best-fit K1, K2 over consecutive sample pairs (least squares, K2 >= 0)
+    # best-fit K1, K2 over consecutive sample pairs (least squares, K2 >= 0);
+    # the objective is convex, so when the unconstrained K2 is negative the
+    # constrained optimum lies on K2 = 0, a one-variable fit of K1
     a = np.stack([vals[:-1], np.diff(ts) * (e0 + 1.0)], axis=1)
     k, *_ = np.linalg.lstsq(a, vals[1:], rcond=None)
+    if k[1] < 0:
+        k = np.array([vals[:-1] @ vals[1:] / (vals[:-1] @ vals[:-1]), 0.0])
     print(f"best-fit almost-monotonicity constants: K1 = {k[0]:.4f}, K2 = {k[1]:.4e}")
 
 

@@ -54,6 +54,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing (strict: unknown keys are errors)
 
+# "integrator" is legacy: older configs carry "lie-euler", its only value
 _TOP_KEYS = {"lattice", "initial", "cfl", "t_end", "max_steps", "diag_cadence",
              "checkpoint_cadence", "div_tol", "blowup_factor", "integrator"}
 _LATTICE_KEYS = {"active_axes", "points", "period", "stencil_order"}
@@ -81,6 +82,10 @@ def parse_config(config_dict: dict) -> FlowConfig:
         raise ConfigError(f"bad lattice spec: {exc}")
     init = config_dict.get("initial", {})
     _reject_unknown(init, _INITIAL_KEYS, "initial")
+    integrator = config_dict.get("integrator", "lie-euler")
+    if integrator != "lie-euler":
+        raise ConfigError(f"unknown integrator {integrator!r}: only 'lie-euler' is "
+                          "supported (the Euler integrator was removed)")
     try:
         return FlowConfig(
             spec=spec,
@@ -96,7 +101,6 @@ def parse_config(config_dict: dict) -> FlowConfig:
             checkpoint_cadence=int(config_dict.get("checkpoint_cadence", 0)),
             div_tol=float(config_dict.get("div_tol", 1e-8)),
             blowup_factor=float(config_dict.get("blowup_factor", 1e6)),
-            integrator=config_dict.get("integrator", "lie-euler"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
@@ -174,7 +178,12 @@ def _run_and_write(config: FlowConfig, raw_config: dict, out_dir: str,
 
 def cmd_flow_run(args) -> int:
     config, raw = load_config(args.config)
-    return _run_and_write(config, raw, args.out)
+    # built before the manifest, so bad initial data leaves no `running` run behind
+    try:
+        state = flow.initial_data(config.family, config.params, config.spec, config.seed)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad initial data: {exc}")
+    return _run_and_write(config, raw, args.out, state=state)
 
 
 def cmd_flow_resume(args) -> int:

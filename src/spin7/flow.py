@@ -5,8 +5,6 @@ a rotation update phi <- rotate(exp(dt * G), phi) with generator
 G = pi7(Div T): the exponential keeps every grid value exactly on the
 rotation orbit of the Cayley form, so the induced metric stays the
 identity up to exponential-map round-off no matter how long the run.
-A raw componentwise Euler step is available behind a flag for comparison;
-it drifts off the orbit and exists only as a benchmark.
 
 Time steps obey the parabolic restriction dt = cfl * h^2.
 """
@@ -14,7 +12,7 @@ Time steps obey the parabolic restriction dt = cfl * h^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -90,25 +88,18 @@ class FlowConfig:
     checkpoint_cadence: int = 0          # 0: only the final checkpoint
     div_tol: float = 1e-8
     blowup_factor: float = 1e6
-    integrator: str = "lie-euler"        # or "euler" (benchmark only)
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if self.t_end is None and self.max_steps is None:
             raise ValueError("need t_end or max_steps")
-        if self.integrator not in ("lie-euler", "euler"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.diag_cadence < 1:
             raise ValueError("diag_cadence must be >= 1")
 
     @property
     def dt(self) -> float:
         return self.cfl * self.spec.spacing ** 2
-
-
-DIAG_COLUMNS = ("t", "E", "dEdt", "negDivT2", "maxT", "bianchi", "ricci",
-                "scalar", "metric_drift", "omega21_defect")
 
 
 @dataclass(frozen=True)
@@ -126,6 +117,9 @@ class DiagRecord:
 
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, c) for c in DIAG_COLUMNS)
+
+
+DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +153,7 @@ def _profile(spec: LatticeSpec, kind: str, params: dict):
     raise ValueError(f"unknown profile {kind!r}")
 
 
-def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0,
-                 validate: bool = True) -> FlowState:
+def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) -> FlowState:
     """Construct admissible initial data; deterministic per seed.
 
     Families:
@@ -208,10 +201,9 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0,
     else:
         raise ValueError(f"unknown initial-data family {family!r}")
     state = FlowState(spec=spec, phi=phi)
-    if validate:
-        drift = metric_drift(state)
-        if not drift < 1e-8:
-            raise ValueError(f"initial data failed admissibility: metric drift {drift:.3e}")
+    drift = metric_drift(state)
+    if not drift < 1e-8:
+        raise ValueError(f"initial data failed admissibility: metric drift {drift:.3e}")
     return state
 
 
@@ -234,24 +226,20 @@ def evaluate(state: FlowState) -> Evaluation:
     """
     phi_d = state.phi_dense()
     t_field = lattice.torsion(state.spec, state.phi, phi_dense=phi_d)
-    gen = lattice.div_torsion(state.spec, t_field, project=True, phi_dense=phi_d)
+    gen = pi7(lattice.div_torsion(state.spec, t_field), phi_d)
     return Evaluation(phi_d, t_field, gen)
 
 
-def _advance(state: FlowState, ev: Evaluation, dt: float, raw_euler: bool) -> FlowState:
+def _advance(state: FlowState, ev: Evaluation, dt: float) -> FlowState:
     if not np.all(np.isfinite(ev.gen)):
         raise FlowAbort(f"non-finite update generator at t={state.t:.6g}, step {state.step}")
-    gen_matrix = dt * ev.gen
-    if raw_euler:
-        new_dense = ev.phi_d + algebra.diamond(gen_matrix, ev.phi_d)
-    else:
-        new_dense = orbit.rotate_form(orbit.so8_exp(gen_matrix, check=False), ev.phi_d)
+    new_dense = orbit.rotate_form(orbit.so8_exp(dt * ev.gen, check=False), ev.phi_d)
     return FlowState(spec=state.spec, phi=pack4(new_dense), t=state.t + dt, step=state.step + 1)
 
 
-def flow_step(state: FlowState, dt: float, raw_euler: bool = False) -> FlowState:
-    """One forward step; rotation update unless raw_euler (benchmark mode)."""
-    return _advance(state, evaluate(state), dt, raw_euler)
+def flow_step(state: FlowState, dt: float) -> FlowState:
+    """One forward Lie-Euler step: rotate the form by exp(dt * pi7(Div T))."""
+    return _advance(state, evaluate(state), dt)
 
 
 def metric_drift(state: FlowState) -> float:
@@ -308,6 +296,10 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
     absolute step counter so a resumed run reproduces the uninterrupted
     series.  Stopping: t_end / max_steps, convergence (sup |Div T| below
     div_tol), or the blow-up guard max|T| > blowup_factor / h.
+
+    A t_end run stops at the first state with t >= t_end (to a relative
+    1e-15 allowance for clock round-off); the step is not clipped, so a run
+    started before t_end ends at a time in [t_end, t_end + dt).
     """
     if state is None:
         state = initial_data(config.family, config.params, config.spec, config.seed)
@@ -354,7 +346,7 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
         if sup_div < config.div_tol:
             exit_reason = "converged"
             break
-        state = _advance(state, ev, dt, config.integrator == "euler")
+        state = _advance(state, ev, dt)
         ev = evaluate(state)
         if state.step % config.diag_cadence == 0:
             emit(state, ev)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import pi7, pi21, unpack4
+from .algebra import pi21, unpack4
 
 __all__ = [
     "LatticeSpec",
@@ -186,24 +186,16 @@ def torsion(spec: LatticeSpec, phi_canon: np.ndarray,
     return _embed_m_axis(spec, raw, raw.ndim - 3)
 
 
-def div_torsion(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray | None = None,
-                project: bool = True, phi_dense: np.ndarray | None = None) -> np.ndarray:
-    """Divergence over the m-slot, (Div T)_ab = d_m T_m;ab.
+def div_torsion(spec: LatticeSpec, t_field: np.ndarray) -> np.ndarray:
+    """Divergence over the m-slot, (Div T)_ab = d_m T_m;ab, unprojected.
 
-    With project=True (the flow's convention) the output is pi7-projected
-    pointwise, which needs the 4-form field (canonical or dense).
+    The flow's update generator is its pointwise pi7 part (`flow.evaluate`).
     """
     h, order = spec.spacing, spec.stencil_order
     out = None
     for grid_axis, m_slot in enumerate(spec.active_axes):
         term = _d1(t_field[..., m_slot, :, :], grid_axis, h, order)
         out = term if out is None else out + term
-    if project:
-        if phi_dense is None:
-            if phi_canon is None:
-                raise ValueError("pi7 projection of the divergence needs the 4-form field")
-            phi_dense = unpack4(phi_canon)
-        out = pi7(out, phi_dense)
     return out
 
 
@@ -265,8 +257,7 @@ def ricci_residual(spec: LatticeSpec, t_field: np.ndarray,
     return float(np.abs(res).max())
 
 
-def scalar_residual(spec: LatticeSpec, t_field: np.ndarray,
-                    return_field: bool = False):
+def scalar_residual(spec: LatticeSpec, t_field: np.ndarray) -> float:
     """Flat-torus scalar-curvature residual: the trace of `ricci_residual`.
 
     Equals 4 d_i T_{a;ia} - 4 d_a T_{i;ia} + 8 |v|^2 + 8 T_{a;jb} T_{j;ba}
@@ -275,10 +266,7 @@ def scalar_residual(spec: LatticeSpec, t_field: np.ndarray,
     not vanish on flat-torus data (see `scalar_residual_printed`, kept for
     comparison, and the refinement tests).
     """
-    res = ricci_residual(spec, t_field, return_field=True)
-    res = np.einsum("...ii->...", res)
-    if return_field:
-        return res
+    res = np.einsum("...ii->...", ricci_residual(spec, t_field, return_field=True))
     return float(np.abs(res).max())
 
 

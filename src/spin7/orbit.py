@@ -90,13 +90,13 @@ def spinor_square4(psi: np.ndarray) -> np.ndarray:
     return unpack4(canon)
 
 
-def bryant_form(f, x: np.ndarray, check: bool = True) -> np.ndarray:
+def bryant_form(f, x: np.ndarray) -> np.ndarray:
     """Isometric 4-form parametrized by (f, x) with f^2 + |x|^2 = 1.
 
     The first octonion coordinate of x folds into the spinor's real part, so
     admissibility requires (f + x_0)^2 + |x_im|^2 = 1; for imaginary x this
     is the stated constraint.  Quadratic in (f, x): antipodes give the same
-    form.  Raises ValueError on constraint violation when check=True.
+    form.  Raises ValueError on constraint violation.
     """
     f = np.asarray(f, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -104,11 +104,10 @@ def bryant_form(f, x: np.ndarray, check: bool = True) -> np.ndarray:
     xim = x.copy()
     xim[..., 0] = 0.0
     n2 = np.einsum("...i,...i->...", xim, xim)
-    if check:
-        err = np.abs(f_eff**2 + n2 - 1.0)
-        if np.any(err > 1e-12):
-            raise ValueError(
-                f"(f, x) violates the unit-sphere constraint by {float(np.max(err)):.3e}")
+    err = np.abs(f_eff**2 + n2 - 1.0)
+    if np.any(err > 1e-12):
+        raise ValueError(
+            f"(f, x) violates the unit-sphere constraint by {float(np.max(err)):.3e}")
     m = right_mult_matrix(xim)
     k = (np.einsum("...ij,...kl->...ijkl", m, m)
          - np.einsum("...ik,...jl->...ijkl", m, m)

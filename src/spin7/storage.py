@@ -133,16 +133,15 @@ def _fmt(x: float) -> str:
 class SeriesWriter:
     """Accumulates diagnostic rows; flushes the CSV atomically."""
 
-    def __init__(self, path: str, columns=DIAG_COLUMNS):
+    def __init__(self, path: str):
         self.path = path
-        self.columns = columns
         self.rows: list[tuple] = []
 
     def append(self, record: DiagRecord) -> None:
         self.rows.append(record.as_tuple())
 
     def flush(self) -> None:
-        write_series_csv(self.path, self.rows, self.columns)
+        write_series_csv(self.path, self.rows, DIAG_COLUMNS)
 
 
 def write_series_csv(path: str, rows, columns) -> None:

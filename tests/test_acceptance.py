@@ -129,8 +129,8 @@ def test_criterion_04_torsion_correctness():
         # defect lives in the unprojected divergence of multi-generator data
         st2 = initial_data("random-smooth", {"eps": 0.05, "kmax": 2}, spec, seed=3)
         t2 = torsion(spec, st2.phi)
-        raw = div_torsion(spec, t2, project=False)
-        proj = div_torsion(spec, t2, st2.phi, project=True)
+        raw = div_torsion(spec, t2)
+        proj = pi7(raw, st2.phi_dense())
         div_defects.append(float(np.abs(raw - proj).max()))
     elapsed = time.time() - t0
     recon_orders = orders(recon_errs)
@@ -186,7 +186,7 @@ def test_criterion_06_gradient_flow_structure():
     spec = LatticeSpec(active_axes=(0,), points=32)
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     t = torsion(spec, st.phi)
-    direction = div_torsion(spec, t, st.phi, project=True)
+    direction = pi7(div_torsion(spec, t), st.phi_dense())
     from spin7.flow import energy_gradient_check
     rel = energy_gradient_check(st, direction, eps=1e-5)
 
@@ -336,7 +336,7 @@ def test_criterion_11_soliton_machinery():
 
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     t = torsion(spec, st.phi)
-    div = div_torsion(spec, t, st.phi, project=True)
+    div = pi7(div_torsion(spec, t), st.phi_dense())
     r_general = soliton_residual(st, x0)
     matches_div = r_general == float(np.abs(div).max())
     ok = sched_err < 1e-12 and printed and r_zero == 0.0 and matches_div

@@ -112,6 +112,29 @@ def test_flow_run_invalid_cfl(tmp_path):
     assert "cfl" in proc.stderr
 
 
+def _initial(family="rotation-field", **params):
+    return {"initial": {"family": family, "params": params, "seed": 1}}
+
+
+@pytest.mark.parametrize("overrides", [
+    _initial("bogus"),
+    _initial(profile="square"),
+    _initial(eps="abc"),
+    _initial(eps=[1]),
+    _initial(axis=5),
+    {"integrator": "euler"},
+    {"integrator": "rk4"},
+], ids=["family", "profile", "eps-text", "eps-list", "axis", "integrator-euler",
+        "integrator-rk4"])
+def test_bad_config_exits_2_before_the_run(tmp_path, overrides):
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "o"
+    proc = run_cli("flow", "run", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # resume determinism
 
@@ -139,6 +162,23 @@ def test_resume_reproduces_series_bitwise(full_run, tmp_path):
     a = (full_run / "ckpt_00000040.s7fl").read_bytes()
     b = (out2 / "ckpt_00000040.s7fl").read_bytes()
     assert a == b
+
+
+def test_legacy_integrator_key(full_run, tmp_path):
+    """`"integrator": "lie-euler"` is the only value left; a config or an
+    embedded checkpoint config that carries it runs as one without it."""
+    cfg = write_config(tmp_path, {"integrator": "lie-euler"})
+    out = tmp_path / "out"
+    proc = run_cli("flow", "run", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    full = (full_run / "series.csv").read_bytes()
+    assert (out / "series.csv").read_bytes() == full
+    resumed = tmp_path / "resumed"
+    proc = run_cli("flow", "resume", "--checkpoint", str(out / "ckpt_00000020.s7fl"),
+                   "--out", str(resumed))
+    assert proc.returncode == 0, proc.stderr
+    res_lines = (resumed / "series.csv").read_text().splitlines()
+    assert full.decode().splitlines()[-(len(res_lines) - 1):] == res_lines[1:]
 
 
 def test_thread_count_reproducibility(tmp_path):

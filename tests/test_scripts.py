@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,5 @@ def test_script_runs(tmp_path, script, args):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if script == "theta_monotonicity_study.py":
+        assert float(re.search(r"K2 = (\S+)", proc.stdout).group(1)) >= 0
