@@ -46,7 +46,7 @@ def main():
         st2 = initial_data("random-smooth", {"eps": 0.05, "kmax": 2}, spec, seed=3)
         t2 = torsion(spec, st2.phi)
         raw = div_torsion(spec, t2)
-        dd.append(float(np.abs(raw - pi7(raw, st2.phi_dense())).max()))
+        dd.append(float(np.abs(raw - pi7(raw, st2.phi)).max()))
     print(f"reconstruction errors {['%.3e' % e for e in rec]}  "
           f"orders {['%.2f' % p for p in orders(rec)]}")
     print(f"divergence 7-defect   {['%.3e' % e for e in dd]}  "

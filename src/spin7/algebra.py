@@ -10,7 +10,15 @@ Dense index conventions:
     endo     A[..., i, j]             row = covariant slot, column = contraction
 
 Canonical (deduplicated) storage keeps ascending-index components only:
-56 entries for 3-forms, 70 for 4-forms; `pack4`/`unpack4` convert.
+56 entries for 3-forms, 70 for 4-forms; `pack4`/`unpack4` convert.  The
+flow-step kernels (`pi7`, `pi21`, `endo_split`, `orbit.rotate_form` and
+`lattice.torsion`) take canonical 4-forms and contract them through two
+gathered matrices, with zeros where an index repeats:
+
+    slot matrix   S[..., a, t] = phi[a, t]           8 x 56, t an ascending triple
+    pair matrix   P[..., p, q] = phi[a, b, c, d]     28 x 28, p = (a<b), q = (c<d)
+
+P is symmetric, and it is the matrix of phi acting on 2-forms.
 
 The reference Cayley form is built from octonion multiplication,
 Phi0(x,y,z,w) = <x, y (conj(z) w)>, antisymmetrized.  Its normalization is
@@ -36,6 +44,9 @@ __all__ = [
     "unpack4",
     "pack3",
     "unpack3",
+    "PAIRS",
+    "slot_matrix",
+    "pair_matrix",
     "hodge_star4",
     "form_inner",
     "pi7",
@@ -60,6 +71,7 @@ class DegenerateFormError(ValueError):
 
 QUADS = tuple(itertools.combinations(range(8), 4))     # 70 ascending quadruples
 TRIPLES = tuple(itertools.combinations(range(8), 3))   # 56 ascending triples
+PAIRS = tuple(itertools.combinations(range(8), 2))     # 28 ascending pairs
 
 
 def _perm_sign(perm) -> int:
@@ -86,6 +98,13 @@ def _index_maps(tuples, k):
 
 _SLOT4, _SIGN4, _GATHER4 = _index_maps(QUADS, 4)
 _SLOT3, _SIGN3, _GATHER3 = _index_maps(TRIPLES, 3)
+_SLOT2, _SIGN2, _GATHER2 = _index_maps(PAIRS, 2)
+
+# gathers of the slot and pair matrices from canonical storage
+_S_SLOT = _SLOT4[:, _GATHER3[0], _GATHER3[1], _GATHER3[2]]
+_S_SIGN = _SIGN4[:, _GATHER3[0], _GATHER3[1], _GATHER3[2]]
+_P_SLOT = _SLOT4[_GATHER2[0][:, None], _GATHER2[1][:, None], _GATHER2[0], _GATHER2[1]]
+_P_SIGN = _SIGN4[_GATHER2[0][:, None], _GATHER2[1][:, None], _GATHER2[0], _GATHER2[1]]
 
 
 def pack4(sigma: np.ndarray) -> np.ndarray:
@@ -98,6 +117,20 @@ def unpack4(canon: np.ndarray) -> np.ndarray:
     dense = canon[..., _SLOT4]    # fancy indexing copies, so scaling in place is safe
     dense *= _SIGN4
     return dense
+
+
+def slot_matrix(canon: np.ndarray) -> np.ndarray:
+    """Canonical (...,70) -> slot matrix (...,8,56), S[a, t] = phi[a, t]."""
+    s = np.take(canon, _S_SLOT, axis=-1)    # C-contiguous, unlike canon[..., _S_SLOT]
+    s *= _S_SIGN
+    return s
+
+
+def pair_matrix(canon: np.ndarray) -> np.ndarray:
+    """Canonical (...,70) -> pair matrix (...,28,28), P[(ab), (cd)] = phi[a, b, c, d]."""
+    p = np.take(canon, _P_SLOT, axis=-1)
+    p *= _P_SIGN
+    return p
 
 
 def pack3(gamma: np.ndarray) -> np.ndarray:
@@ -182,16 +215,24 @@ def form_inner(sigma: np.ndarray, tau: np.ndarray, degree: int) -> np.ndarray:
     return np.sum(sigma * tau, axis=axes) / math.factorial(degree)
 
 
+def _form_on_2forms(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """sum_ab beta_ab phi_abij for canonical phi: the pair matrix applied to
+    (beta_ab - beta_ba)_{a<b}, skew-filled; beta need not be skew."""
+    i, j = _GATHER2
+    v = beta[..., i, j] - beta[..., j, i]
+    w = np.matmul(v[..., None, :], pair_matrix(phi))[..., 0, :]
+    return w[..., _SLOT2] * _SIGN2
+
+
 def pi7(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Projection of a 2-form onto the 7-dimensional summand."""
-    contr = np.einsum("...ab,...abij->...ij", beta, phi)
-    return 0.25 * beta - 0.125 * contr
+    """Projection of a 2-form onto the 7-dimensional summand of canonical phi."""
+    return 0.25 * beta - 0.125 * _form_on_2forms(beta, phi)
 
 
 def pi21(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Projection of a 2-form onto the 21-dimensional (stabiliser) summand."""
-    contr = np.einsum("...ab,...abij->...ij", beta, phi)
-    return 0.75 * beta + 0.125 * contr
+    """Projection of a 2-form onto the 21-dimensional (stabiliser) summand of
+    canonical phi."""
+    return 0.75 * beta + 0.125 * _form_on_2forms(beta, phi)
 
 
 def lambda_op(sigma: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -254,7 +295,8 @@ def decompose3(gamma: np.ndarray, phi: np.ndarray):
 
 
 def endo_split(endo: np.ndarray, phi: np.ndarray):
-    """Split an endomorphism into trace, traceless-symmetric, 7 and 21 parts."""
+    """Split an endomorphism into trace, traceless-symmetric, 7 and 21 parts;
+    phi is canonical."""
     trace = np.einsum("...ii->...", endo)
     sym = 0.5 * (endo + np.swapaxes(endo, -1, -2))
     sym0 = sym - (trace[..., None, None] / 8.0) * np.eye(8)

@@ -214,6 +214,8 @@ def _parse_center(text: str | None, spec) -> tuple[int, ...]:
         parts = ()
     if len(parts) != spec.n_axes:
         raise ConfigError(f"--center needs {spec.n_axes} comma-separated indices, got {text!r}")
+    if not all(0 <= p < spec.points for p in parts):
+        raise ConfigError(f"--center indices must lie in [0, {spec.points}), got {text!r}")
     return parts
 
 
@@ -278,15 +280,20 @@ def cmd_soliton_check(args) -> int:
     return 0
 
 
-def _positive(kind):
-    """argparse type: a finite number of the given kind above zero."""
+def _checked(kind, label, accept):
+    """argparse type: a number of the given kind that `accept` admits."""
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < float("inf"):
+        if not accept(value):
             raise ValueError(text)
         return value
-    parse.__name__ = f"positive {kind.__name__}"  # argparse names it in the error
+    parse.__name__ = f"{label} {kind.__name__}"  # argparse names it in the error
     return parse
+
+
+def _positive(kind):
+    """argparse type: a finite number of the given kind above zero."""
+    return _checked(kind, "positive", lambda v: 0 < v < float("inf"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("soliton-check", help="stationary-soliton residual")
     so.add_argument("--checkpoint", required=True)
-    so.add_argument("--x-seed", type=int, default=None,
+    so.add_argument("--x-seed", type=_checked(int, "non-negative", lambda v: v >= 0),
+                    default=None,
                     help="seed for a constant random vector field (default: zero field)")
     so.add_argument("--out-csv", required=True)
     so.set_defaults(func=cmd_soliton_check)

@@ -96,6 +96,16 @@ class FlowConfig:
             raise ValueError("need t_end or max_steps")
         if self.diag_cadence < 1:
             raise ValueError("diag_cadence must be >= 1")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.checkpoint_cadence < 0:
+            raise ValueError(f"checkpoint_cadence must be >= 0, got {self.checkpoint_cadence}")
+        if self.t_end is not None and not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+        if not 0.0 <= self.div_tol < math.inf:
+            raise ValueError(f"div_tol must be finite and >= 0, got {self.div_tol}")
+        if not 0.0 < self.blowup_factor < math.inf:
+            raise ValueError(f"blowup_factor must be finite and > 0, got {self.blowup_factor}")
 
     @property
     def dt(self) -> float:
@@ -127,7 +137,7 @@ DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))
 
 def _pi7_unit_generator(rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((8, 8))
-    a = pi7(a - a.T, algebra.PHI0)
+    a = pi7(a - a.T, pack4(algebra.PHI0))
     return a / np.sqrt(np.sum(a * a))
 
 
@@ -153,6 +163,15 @@ def _profile(spec: LatticeSpec, kind: str, params: dict):
     raise ValueError(f"unknown profile {kind!r}")
 
 
+# the `params` keys each initial-data family reads
+_FAMILY_PARAMS = {
+    "constant": (),
+    "rotation-field": ("eps", "profile", "axis", "mode", "width", "center"),
+    "bryant-wave": ("eps", "axis"),
+    "random-smooth": ("eps", "kmax", "n_generators"),
+}
+
+
 def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) -> FlowState:
     """Construct admissible initial data; deterministic per seed.
 
@@ -162,9 +181,17 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
                       profile "sine" (default) or "bump"
       bryant-wave     spinor parametrization along a periodic sphere curve
       random-smooth   exp(A(x)) . Phi0, A a low-frequency random 7-summand field
+
+    Raises ValueError for an unknown family or a params key the family does
+    not read.
     """
-    rng = np.random.default_rng(seed)
+    if family not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown initial-data family {family!r}")
     params = dict(params or {})
+    unknown = sorted(set(params) - set(_FAMILY_PARAMS[family]))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in params of {family!r}")
+    rng = np.random.default_rng(seed)
     phi0c = pack4(algebra.PHI0)
     if family == "constant":
         phi = np.broadcast_to(phi0c, spec.grid_shape + (70,)).copy()
@@ -172,7 +199,7 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
         gen = _pi7_unit_generator(rng)
         theta = _profile(spec, params.pop("profile", "sine"), params)
         rot = orbit.so8_exp(theta[..., None, None] * gen)
-        phi = pack4(orbit.rotate_form(rot, algebra.PHI0))
+        phi = orbit.rotate_form(rot, phi0c)
     elif family == "bryant-wave":
         eps = float(params.get("eps", 0.5))
         axis = int(params.get("axis", 0))
@@ -197,9 +224,7 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
                 k = int(rng.integers(1, kmax + 1))
                 phase = phase + 2.0 * np.pi * k * x / spec.period + rng.uniform(0, 2 * np.pi)
             a_field = a_field + (eps * np.sin(phase))[..., None, None] * gen
-        phi = pack4(orbit.rotate_form(orbit.so8_exp(a_field), algebra.PHI0))
-    else:
-        raise ValueError(f"unknown initial-data family {family!r}")
+        phi = orbit.rotate_form(orbit.so8_exp(a_field), phi0c)
     state = FlowState(spec=spec, phi=phi)
     drift = metric_drift(state)
     if not drift < 1e-8:
@@ -213,28 +238,26 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
 class Evaluation(NamedTuple):
     """What the step, the record and the checks read of one state."""
 
-    phi_d: np.ndarray      # dense form, grid + (8, 8, 8, 8)
     t_field: np.ndarray    # torsion, grid + (8, 8, 8)
     gen: np.ndarray        # update generator pi7(Div T), grid + (8, 8)
 
 
 def evaluate(state: FlowState) -> Evaluation:
-    """The dense form, torsion and update generator of a state.
+    """The torsion and update generator of a state.
 
     The single place a state's torsion and generator are computed; the
     step, the diagnostics record and every check read them from here.
     """
-    phi_d = state.phi_dense()
-    t_field = lattice.torsion(state.spec, state.phi, phi_dense=phi_d)
-    gen = pi7(lattice.div_torsion(state.spec, t_field), phi_d)
-    return Evaluation(phi_d, t_field, gen)
+    t_field = lattice.torsion(state.spec, state.phi)
+    gen = pi7(lattice.div_torsion(state.spec, t_field), state.phi)
+    return Evaluation(t_field, gen)
 
 
 def _advance(state: FlowState, ev: Evaluation, dt: float) -> FlowState:
     if not np.all(np.isfinite(ev.gen)):
         raise FlowAbort(f"non-finite update generator at t={state.t:.6g}, step {state.step}")
-    new_dense = orbit.rotate_form(orbit.so8_exp(dt * ev.gen, check=False), ev.phi_d)
-    return FlowState(spec=state.spec, phi=pack4(new_dense), t=state.t + dt, step=state.step + 1)
+    phi = orbit.rotate_form(orbit.so8_exp(dt * ev.gen, check=False), state.phi)
+    return FlowState(spec=state.spec, phi=phi, t=state.t + dt, step=state.step + 1)
 
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
@@ -243,7 +266,8 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
 
 
 def metric_drift(state: FlowState) -> float:
-    """Max over grid and entries of |metric_from_form(phi) - identity|."""
+    """Max over grid and entries of |metric_from_form(phi) - identity|; the
+    one dense form a diagnostics record builds."""
     g = metric_from_form(state.phi_dense())
     return float(np.abs(g - np.eye(8)).max())
 
@@ -257,7 +281,7 @@ def _record(state: FlowState, ev: Evaluation, prev: tuple[float, float] | None) 
         dedt = 0.0
     else:
         dedt = (e - prev[1]) / (state.t - prev[0])
-    gen_defect = pi21(ev.gen, ev.phi_d)
+    gen_defect = pi21(ev.gen, state.phi)
     # the scalar residual is the trace of the Ricci residual field
     ricci = lattice.ricci_residual(spec, ev.t_field, return_field=True)
     return DiagRecord(
@@ -374,7 +398,7 @@ def energy_gradient_check(state: FlowState, direction: np.ndarray, eps: float) -
     energies = []
     for sign in (+1.0, -1.0):
         rot = orbit.so8_exp(sign * eps * direction, check=False)
-        moved = replace(state, phi=pack4(orbit.rotate_form(rot, ev.phi_d)))
+        moved = replace(state, phi=orbit.rotate_form(rot, state.phi))
         energies.append(lattice.energy(spec, evaluate(moved).t_field))
     fd = (energies[0] - energies[1]) / (2.0 * eps)
     denom = max(abs(predicted), 1e-300)
@@ -519,7 +543,7 @@ def soliton_residual(state: FlowState, x_field: np.ndarray) -> float:
     x_hook_t = np.einsum("...m,...mab->...ab", x_field, ev.t_field)
     gx = lattice.fd_gradient_embedded(state.spec, x_field)
     skew = 0.5 * (gx - np.swapaxes(gx, -1, -2))
-    nabla7 = pi7(skew, ev.phi_d)
+    nabla7 = pi7(skew, state.phi)
     return float(np.abs(ev.gen - x_hook_t - nabla7).max())
 
 
@@ -575,8 +599,8 @@ def parabolic_rescale(state: FlowState, c: float):
         raise ValueError("rescale factor must be positive")
     new = FlowState(spec=replace(state.spec, period=c * state.spec.period),
                     phi=state.phi, t=c * c * state.t, step=state.step)
-    t_old, div_old = evaluate(state)[1:]
-    t_new, div_new = evaluate(new)[1:]
+    t_old, div_old = evaluate(state)
+    t_new, div_new = evaluate(new)
     gt_old = lattice.fd_gradient_generic(state.spec, t_old)
     gt_new = lattice.fd_gradient_generic(new.spec, t_new)
 

@@ -3,7 +3,7 @@
 A lattice discretizes a subset of the eight torus directions (the active
 axes); fields are constant along the rest.  Grid arrays carry one leading
 axis per active axis, then the tensor axes, e.g. a 4-form field is
-(N, ..., N, 70) canonical or (N, ..., N, 8, 8, 8, 8) dense.
+(N, ..., N, 70) canonical, the storage every function here takes.
 
 Torsion and the curvature-identity residuals follow the coordinate
 expressions valid on the flat torus, where the connection is plain
@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import pi21, unpack4
+# unpack4 is unused here but stays bound: the benchmark tracer's own test
+# (perfbench/test_spantrace.py) wraps and restores `lattice.unpack4`
+from .algebra import pi21, slot_matrix, unpack4  # noqa: F401
 
 __all__ = [
     "LatticeSpec",
@@ -170,19 +172,19 @@ def fd_gradient_embedded(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
     return _embed_m_axis(spec, fd_gradient_generic(spec, values), spec.n_axes)
 
 
-def torsion(spec: LatticeSpec, phi_canon: np.ndarray,
-            phi_dense: np.ndarray | None = None) -> np.ndarray:
+def torsion(spec: LatticeSpec, phi_canon: np.ndarray) -> np.ndarray:
     """Full torsion field T[..., m, a, b], skew-symmetrized in (a, b).
 
-    T_m = (1/96) (d_m phi . phi), contracted over three slots.  Inactive
+    T_m = (1/96) (d_m phi . phi), contracted over three slots.  The full
+    contraction is 6 times the sum over ascending triples, one product of
+    slot matrices S(d_m phi) S(phi)^T per point and axis.  Inactive
     m-slices are zero.
-    phi_dense may pass a precomputed dense view of the same field.
     """
-    grad_d = unpack4(fd_gradient_generic(spec, phi_canon))    # grid + (k, 8,8,8,8)
-    if phi_dense is None:
-        phi_dense = unpack4(phi_canon)
-    raw = np.einsum("...majkl,...bjkl->...mab", grad_d, phi_dense)
-    raw = 0.5 * (raw - np.swapaxes(raw, -1, -2)) / 96.0
+    s_grad = slot_matrix(fd_gradient_generic(spec, phi_canon))    # grid + (k, 8, 56)
+    s_phi = slot_matrix(phi_canon)[..., None, :, :]                # grid + (1, 8, 56)
+    raw = np.matmul(s_grad, np.swapaxes(s_phi, -1, -2))
+    # 0.5 * 6 / 96 = 1/32, a power of two
+    raw = (raw - np.swapaxes(raw, -1, -2)) / 32.0
     return _embed_m_axis(spec, raw, raw.ndim - 3)
 
 
@@ -221,8 +223,7 @@ def integrate(spec: LatticeSpec, pointwise: np.ndarray) -> float:
 
 def omega21_defect(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray) -> float:
     """Max over grid and m of the Frobenius norm of pi21(T_m)."""
-    phi_d = unpack4(phi_canon)
-    defect = pi21(np.moveaxis(t_field, -3, 0), phi_d[None])
+    defect = pi21(np.moveaxis(t_field, -3, 0), phi_canon[None])
     return float(np.sqrt(np.max(np.sum(defect * defect, axis=(-1, -2)))))
 
 

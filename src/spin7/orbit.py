@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import PHI0, QUADS, unpack4
+from .algebra import PAIRS, PHI0, QUADS, pair_matrix, unpack4
 from .octonion import OCT_TABLE, right_mult_matrix
 
 __all__ = [
@@ -156,29 +156,28 @@ def so8_exp(a: np.ndarray, check: bool = True) -> np.ndarray:
     return out
 
 
-def rotate_form(r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Frame-change action of r on a 4-form: each covariant slot contracts r.
+# rows and columns of the 2x2 minors, and where each canonical component
+# sits in the flattened pair matrix: phi[i, j, k, l] = P[(ij), (kl)]
+_PAIR_I, _PAIR_J = np.array(PAIRS).T
+_QUAD_ENTRY = np.array([28 * PAIRS.index(q[:2]) + PAIRS.index(q[2:]) for q in QUADS])
+
+
+def rotate_form(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Frame-change action of r on a canonical 4-form: each covariant slot
+    contracts r.
 
     Group action compatible with `diamond`:
-    d/dt rotate_form(so8_exp(t a), sigma) at t=0 equals diamond(a, sigma).
-    Raises ValueError for singular r.
+    d/dt rotate_form(so8_exp(t a), phi) at t=0 equals pack4(diamond(a, unpack4(phi))).
+    On the pair matrix the action is P -> L P L^T, with L[(ij), (pq)] =
+    r_ip r_jq - r_iq r_jp the 2x2 minors of r (its action on 2-forms); this
+    holds for every invertible r.  Raises ValueError for singular r.
     """
     r = np.asarray(r, dtype=float)
     if np.any(np.abs(np.linalg.det(r)) < 1e-12):
         raise ValueError("rotate_form requires an invertible matrix")
-    shape = np.broadcast_shapes(sigma.shape, r.shape[:-2] + (8,) * 4)
-    out = np.broadcast_to(sigma, shape).reshape((-1,) + (8,) * 4)
-    rt = np.swapaxes(r, -1, -2)
-    rt = np.broadcast_to(rt, shape[:-4] + (8, 8)).reshape(-1, 8, 8)
-    # contract the last slot with r (one true batched GEMM), then cycle it to
-    # the front; after four rounds every slot is contracted and axis order
-    # is restored.  The rounds share two buffers, so a call allocates two
-    # dense arrays, not eight: fewer large temporaries keep the allocator
-    # from trimming and re-faulting the heap on every flow step.
-    buf = np.empty(out.shape)
-    prod = np.empty((out.shape[0], 512, 8))
-    for _ in range(4):
-        np.copyto(buf, out)
-        np.matmul(buf.reshape(-1, 512, 8), rt, out=prod)
-        out = np.moveaxis(prod.reshape(buf.shape), -1, 1)
-    return out.reshape(shape)
+    # np.take keeps the gathers C-contiguous, which the batched matmul needs to be fast
+    ri, rj = np.take(r, _PAIR_I, axis=-2), np.take(r, _PAIR_J, axis=-2)
+    minors = (np.take(ri, _PAIR_I, axis=-1) * np.take(rj, _PAIR_J, axis=-1)
+              - np.take(ri, _PAIR_J, axis=-1) * np.take(rj, _PAIR_I, axis=-1))
+    p_new = minors @ pair_matrix(phi) @ np.swapaxes(minors, -1, -2)
+    return np.take(p_new.reshape(p_new.shape[:-2] + (784,)), _QUAD_ENTRY, axis=-1)

@@ -22,6 +22,9 @@ from spin7.flow import (FlowConfig, flow_step, initial_data, parabolic_rescale,
 from spin7.lattice import (LatticeSpec, bianchi_residual, div_torsion,
                            grid_coordinates, omega21_defect, ricci_residual,
                            scalar_residual, torsion)
+
+from conftest import PHI0C
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -76,8 +79,8 @@ def test_criterion_02_representation_dimensions():
         return int(np.linalg.matrix_rank(
             np.array([diamond(np.asarray(m), PHI0).ravel() for m in mats]), tol=1e-8))
 
-    dia_dims = (rank([np.eye(8)]), rank(sym0), rank(pi7(skew, PHI0)),
-                rank(pi21(skew, PHI0)))
+    dia_dims = (rank([np.eye(8)]), rank(sym0), rank(pi7(skew, PHI0C)),
+                rank(pi21(skew, PHI0C)))
     ok = lam_dims == [1, 7, 27, 35] and dia_dims == (1, 35, 7, 0)
     verdict(2, ok, f"eigenspace dims {lam_dims}, diamond image dims {dia_dims}")
 
@@ -92,8 +95,8 @@ def test_criterion_03_diamond_calculus():
         abar = 0.25 * np.trace(a) * np.eye(8) - a.T
         errs.append(float(np.abs(hodge_star4(diamond(a, PHI0))
                                  - diamond(abar, PHI0)).max()))
-        tr_a, a0, a7, _ = endo_split(a, PHI0)
-        tr_b, b0, b7, _ = endo_split(b, PHI0)
+        tr_a, a0, a7, _ = endo_split(a, PHI0C)
+        tr_b, b0, b7, _ = endo_split(b, PHI0C)
         lhs = form_inner(diamond(a, PHI0), diamond(b, PHI0), 4)
         rhs = 3.5 * tr_a * tr_b + 4 * np.trace(a0 @ b0) - 16 * np.trace(a7 @ b7)
         errs.append(abs(lhs - rhs))
@@ -130,7 +133,7 @@ def test_criterion_04_torsion_correctness():
         st2 = initial_data("random-smooth", {"eps": 0.05, "kmax": 2}, spec, seed=3)
         t2 = torsion(spec, st2.phi)
         raw = div_torsion(spec, t2)
-        proj = pi7(raw, st2.phi_dense())
+        proj = pi7(raw, st2.phi)
         div_defects.append(float(np.abs(raw - proj).max()))
     elapsed = time.time() - t0
     recon_orders = orders(recon_errs)
@@ -172,7 +175,7 @@ def test_criterion_05_flat_space_residuals():
     noise = rng.standard_normal((8, 8))
     wave = np.sin(2 * np.pi * grid_coordinates(spec_c)[0] / spec_c.period)
     t_c[..., 0, :, :] += (0.3 * wave)[..., None, None] * pi21(noise - noise.T,
-                                                              st_c.phi_dense())
+                                                              st_c.phi)
     control = bianchi_residual(spec_c, t_c)
     ok = (abs(ob - 2) < 0.2 and abs(orc - 2) < 0.2 and abs(osc - 2) < 0.2
           and degenerate < 1e-13 and control > 10 * eb[1])
@@ -186,7 +189,7 @@ def test_criterion_06_gradient_flow_structure():
     spec = LatticeSpec(active_axes=(0,), points=32)
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     t = torsion(spec, st.phi)
-    direction = pi7(div_torsion(spec, t), st.phi_dense())
+    direction = pi7(div_torsion(spec, t), st.phi)
     from spin7.flow import energy_gradient_check
     rel = energy_gradient_check(st, direction, eps=1e-5)
 
@@ -336,7 +339,7 @@ def test_criterion_11_soliton_machinery():
 
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     t = torsion(spec, st.phi)
-    div = pi7(div_torsion(spec, t), st.phi_dense())
+    div = pi7(div_torsion(spec, t), st.phi)
     r_general = soliton_residual(st, x0)
     matches_div = r_general == float(np.abs(div).max())
     ok = sched_err < 1e-12 and printed and r_zero == 0.0 and matches_div

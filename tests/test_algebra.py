@@ -12,6 +12,8 @@ from spin7.algebra import (PHI0, QUADS, DegenerateFormError, cayley_form, decomp
                            triple_contract, unpack3, unpack4)
 from spin7.orbit import rotate_form, so8_exp
 
+from conftest import PHI0C
+
 I8 = np.eye(8)
 
 canon70 = arrays(np.float64, (70,), elements=st.floats(-5, 5, allow_nan=False))
@@ -46,7 +48,7 @@ def test_double_contraction_identity():
 
 def test_identities_survive_rotation(rng):
     a = rng.standard_normal((8, 8))
-    phi = rotate_form(so8_exp(a - a.T), PHI0)
+    phi = unpack4(rotate_form(so8_exp(a - a.T), PHI0C))
     assert abs(np.sum(phi * phi) - 336.0) < 1e-10
     np.testing.assert_allclose(np.einsum("ijkl,ajkl->ia", phi, phi), 42 * I8, atol=1e-11)
 
@@ -121,20 +123,21 @@ def test_inner_degree_mismatch():
 @settings(max_examples=50, deadline=None)
 def test_projection_resolution_of_identity(raw):
     beta = raw - raw.T
-    np.testing.assert_allclose(pi7(beta, PHI0) + pi21(beta, PHI0), beta, atol=1e-11)
+    np.testing.assert_allclose(pi7(beta, PHI0C) + pi21(beta, PHI0C), beta,
+                               atol=1e-11)
 
 
 def test_projection_eigenrelations(rng, random_skew):
-    b7 = pi7(random_skew, PHI0)
-    b21 = pi21(random_skew, PHI0)
+    b7 = pi7(random_skew, PHI0C)
+    b21 = pi21(random_skew, PHI0C)
     np.testing.assert_allclose(np.einsum("ab,abij->ij", b7, PHI0), -6 * b7, atol=1e-12)
     np.testing.assert_allclose(np.einsum("ab,abij->ij", b21, PHI0), 2 * b21, atol=1e-12)
-    np.testing.assert_allclose(pi7(b7, PHI0), b7, atol=1e-13)
-    np.testing.assert_allclose(pi21(b7, PHI0), 0 * b7, atol=1e-13)
+    np.testing.assert_allclose(pi7(b7, PHI0C), b7, atol=1e-13)
+    np.testing.assert_allclose(pi21(b7, PHI0C), 0 * b7, atol=1e-13)
 
 
 def test_21_four_term_identity(random_skew):
-    b21 = pi21(random_skew, PHI0)
+    b21 = pi21(random_skew, PHI0C)
     lhs = np.einsum("ab,bpqr->apqr", b21, PHI0)
     rhs = (np.einsum("pi,iqra->apqr", b21, PHI0) + np.einsum("qi,irpa->apqr", b21, PHI0)
            + np.einsum("ri,ipqa->apqr", b21, PHI0))
@@ -158,7 +161,7 @@ def test_lambda_eigenvalue_35(rng):
 
 
 def test_lambda_eigenvalue_7(random_skew):
-    img = diamond(pi7(random_skew, PHI0), PHI0)
+    img = diamond(pi7(random_skew, PHI0C), PHI0)
     np.testing.assert_allclose(lambda_op(img, PHI0), -12 * img, atol=1e-11)
 
 
@@ -214,7 +217,7 @@ def test_diamond_of_metric():
 
 
 def test_diamond_kernel_is_21(random_skew):
-    b21 = pi21(random_skew, PHI0)
+    b21 = pi21(random_skew, PHI0C)
     assert np.abs(diamond(b21, PHI0)).max() < 1e-12
 
 
@@ -228,8 +231,8 @@ def test_diamond_hodge_transpose(rng):
 def test_diamond_inner_product_formula(rng):
     a = rng.standard_normal((8, 8))
     b = rng.standard_normal((8, 8))
-    tr_a, a0, a7, _ = endo_split(a, PHI0)
-    tr_b, b0, b7, _ = endo_split(b, PHI0)
+    tr_a, a0, a7, _ = endo_split(a, PHI0C)
+    tr_b, b0, b7, _ = endo_split(b, PHI0C)
     lhs = form_inner(diamond(a, PHI0), diamond(b, PHI0), 4)
     rhs = 3.5 * tr_a * tr_b + 4 * np.trace(a0 @ b0) - 16 * np.trace(a7 @ b7)
     assert abs(lhs - rhs) < 1e-10
@@ -254,12 +257,12 @@ def test_diamond_image_dimensions():
 
     assert rank([I8]) == 1
     assert rank(sym0) == 35
-    assert rank(pi7(skew, PHI0)) == 7
-    assert rank(pi21(skew, PHI0)) == 0
+    assert rank(pi7(skew, PHI0C)) == 7
+    assert rank(pi21(skew, PHI0C)) == 0
 
 
 def test_triple_contract_inverts_diamond(random_skew):
-    b7 = pi7(random_skew, PHI0)
+    b7 = pi7(random_skew, PHI0C)
     np.testing.assert_allclose(triple_contract(diamond(b7, PHI0), PHI0), 96 * b7,
                                atol=1e-11)
 
@@ -267,14 +270,14 @@ def test_triple_contract_inverts_diamond(random_skew):
 def test_triple_contract_zero_and_kernel_content():
     assert np.abs(triple_contract(np.zeros((8,) * 4), PHI0)).max() == 0.0
     # the reference form itself carries no 7-summand content
-    assert np.abs(pi7(triple_contract(PHI0, PHI0), PHI0)).max() < 1e-12
+    assert np.abs(pi7(triple_contract(PHI0, PHI0), PHI0C)).max() < 1e-12
 
 
 def test_triple_contract_kills_other_summands(rng):
     a0 = rng.standard_normal((8, 8))
     a0 = 0.5 * (a0 + a0.T)
     a0 -= np.trace(a0) / 8 * I8
-    assert np.abs(pi7(triple_contract(diamond(a0, PHI0), PHI0), PHI0)).max() < 1e-11
+    assert np.abs(pi7(triple_contract(diamond(a0, PHI0), PHI0), PHI0C)).max() < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +314,14 @@ def test_pack3_roundtrip(rng):
 
 
 def test_endo_split_of_metric():
-    tr, a0, a7, a21 = endo_split(I8, PHI0)
+    tr, a0, a7, a21 = endo_split(I8, PHI0C)
     assert tr == 8.0
     for part in (a0, a7, a21):
         assert np.abs(part).max() < 1e-14
 
 
 def test_endo_split_skew(random_skew):
-    tr, a0, _, _ = endo_split(random_skew, PHI0)
+    tr, a0, _, _ = endo_split(random_skew, PHI0C)
     assert abs(tr) < 1e-13
     assert np.abs(a0).max() < 1e-13
 
@@ -326,7 +329,7 @@ def test_endo_split_skew(random_skew):
 @given(arrays(np.float64, (8, 8), elements=st.floats(-3, 3, allow_nan=False)))
 @settings(max_examples=50, deadline=None)
 def test_endo_split_reconstruction(a):
-    tr, a0, a7, a21 = endo_split(a, PHI0)
+    tr, a0, a7, a21 = endo_split(a, PHI0C)
     recon = tr / 8.0 * I8 + a0 + a7 + a21
     np.testing.assert_allclose(recon, a, atol=1e-13)
 

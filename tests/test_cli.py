@@ -124,8 +124,20 @@ def _initial(family="rotation-field", **params):
     _initial(axis=5),
     {"integrator": "euler"},
     {"integrator": "rk4"},
+    _initial("random-smooth", epsilon=0.5, kmaxx=9),
+    _initial("constant", eps=0.1),
+    {"checkpoint_cadence": -1},
+    {"max_steps": -3},
+    {"blowup_factor": -1},
+    {"blowup_factor": float("inf")},
+    {"t_end": float("nan"), "max_steps": None},
+    {"t_end": -1.0},
+    {"div_tol": float("nan")},
+    {"div_tol": -1e-8},
 ], ids=["family", "profile", "eps-text", "eps-list", "axis", "integrator-euler",
-        "integrator-rk4"])
+        "integrator-rk4", "params-unknown-key", "params-constant", "checkpoint-cadence",
+        "max-steps", "blowup-negative", "blowup-inf", "t-end-nan", "t-end-negative",
+        "div-tol-nan", "div-tol-negative"])
 def test_bad_config_exits_2_before_the_run(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "o"
@@ -284,9 +296,13 @@ def test_soliton_check_on_rescaled_checkpoint(full_run, tmp_path):
     ["theta", "--t0", "{t}"],
     ["theta", "--t0", "0"],
     ["theta", "--t0", "1.0", "--center", "a"],
+    ["theta", "--t0", "1.0", "--center", "99"],
+    ["theta", "--t0", "1.0", "--center", "-1"],
+    ["soliton-check", "--x-seed", "-1"],
 ], ids=["entropy-sigma", "entropy-t-samples", "entropy-x-stride", "rescale-factor-0",
         "rescale-factor-nan", "theta-t0-at-state", "theta-t0-below-state",
-        "theta-center"])
+        "theta-center", "theta-center-out-of-range", "theta-center-negative",
+        "soliton-x-seed-negative"])
 def test_bad_arguments_exit_2(full_run, tmp_path, args):
     ck = str(full_run / "ckpt_00000040.s7fl")
     t = repr(read_checkpoint(ck).state.t)

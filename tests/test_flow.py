@@ -77,16 +77,14 @@ def test_step_consistency_with_diamond():
     infinitesimal action of the generator."""
     spec = small_spec(32)
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
-    phi_d = st.phi_dense()
     t = torsion(spec, st.phi)
-    gen = pi7(div_torsion(spec, t), phi_d)
+    gen = pi7(div_torsion(spec, t), st.phi)
     dt = 1e-6
-    plus = flow_step(st, dt).phi_dense()
-    minus_gen = -gen
+    plus = flow_step(st, dt).phi
     from spin7.orbit import rotate_form, so8_exp
-    minus = rotate_form(so8_exp(-dt * gen, check=False), phi_d)
+    minus = rotate_form(so8_exp(-dt * gen, check=False), st.phi)
     fd = (plus - minus) / (2 * dt)
-    expected = diamond(gen, phi_d)
+    expected = pack4(diamond(gen, st.phi_dense()))
     assert np.abs(fd - expected).max() < 1e-6 * max(1.0, np.abs(expected).max())
 
 
@@ -108,8 +106,8 @@ def test_raw_euler_drifts_lie_euler_does_not():
     lie, euler = st, st
     for _ in range(50):
         lie = flow_step(lie, dt)
-        ev = evaluate(euler)
-        euler = replace(euler, phi=pack4(ev.phi_d + diamond(dt * ev.gen, ev.phi_d)))
+        gen, phi_d = evaluate(euler).gen, euler.phi_dense()
+        euler = replace(euler, phi=pack4(phi_d + diamond(dt * gen, phi_d)))
     assert metric_drift(lie) < 1e-12
     assert metric_drift(euler) > 10 * metric_drift(lie)
 
@@ -131,7 +129,7 @@ def test_energy_gradient_zero_direction():
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     x = np.zeros(spec.grid_shape + (8, 8))
     spec_t = torsion(spec, st.phi)
-    div = pi7(div_torsion(spec, spec_t), st.phi_dense())
+    div = pi7(div_torsion(spec, spec_t), st.phi)
     predicted = np.sum(div * x)
     assert predicted == 0.0
 
@@ -140,7 +138,7 @@ def test_energy_gradient_check_against_divergence():
     spec = small_spec(32)
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     t = torsion(spec, st.phi)
-    direction = pi7(div_torsion(spec, t), st.phi_dense())
+    direction = pi7(div_torsion(spec, t), st.phi)
     rel = energy_gradient_check(st, direction, eps=1e-5)
     assert rel < 1e-4
 
@@ -152,16 +150,16 @@ def test_energy_gradient_stabiliser_direction(rng):
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     a = rng.standard_normal((8, 8))
     direction = pi21(np.broadcast_to(a - a.T, spec.grid_shape + (8, 8)),
-                     st.phi_dense())
+                     st.phi)
     t = torsion(spec, st.phi)
-    div = pi7(div_torsion(spec, t), st.phi_dense())
+    div = pi7(div_torsion(spec, t), st.phi)
     predicted = np.sum(div * direction)
     assert abs(predicted) < 1e-10
     from spin7.orbit import rotate_form, so8_exp
     eps = 1e-5
-    moved = rotate_form(so8_exp(eps * direction, check=False), st.phi_dense())
+    moved = rotate_form(so8_exp(eps * direction, check=False), st.phi)
     e0 = energy(spec, t)
-    e1 = energy(spec, torsion(spec, pack4(moved)))
+    e1 = energy(spec, torsion(spec, moved))
     assert abs(e1 - e0) < 1e-10 * max(1.0, e0)
 
 
@@ -381,7 +379,7 @@ def test_soliton_residual_is_divergence_for_zero_field():
     st = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
     x = np.zeros(spec.grid_shape + (8,))
     t = torsion(spec, st.phi)
-    div = pi7(div_torsion(spec, t), st.phi_dense())
+    div = pi7(div_torsion(spec, t), st.phi)
     assert soliton_residual(st, x) == pytest.approx(float(np.abs(div).max()), abs=0.0)
 
 

@@ -9,7 +9,7 @@ from spin7.lattice import (LatticeSpec, bianchi_residual, div_torsion, energy,
                            scalar_residual, scalar_residual_printed, torsion)
 from spin7.orbit import rotate_form, so8_exp
 
-from conftest import unit_pi7_generator
+from conftest import PHI0C, unit_pi7_generator
 
 
 def observed_order(errors):
@@ -106,10 +106,10 @@ def analytic_torsion(spec, eps, seed):
     x = grid_coordinates(spec)[0]
     theta = eps * np.sin(2 * np.pi * x / spec.period)
     theta_prime = eps * 2 * np.pi / spec.period * np.cos(2 * np.pi * x / spec.period)
-    phi_d = rotate_form(so8_exp(theta[:, None, None] * gen), PHI0)
+    phi = rotate_form(so8_exp(theta[:, None, None] * gen), PHI0C)
     # d_1 phi = theta' (gen diamond phi); its torsion slice is theta' pi7(gen)
     t_exact = np.zeros(spec.grid_shape + (8, 8, 8))
-    t_exact[:, spec.active_axes[0]] = theta_prime[:, None, None] * pi7(gen, phi_d)
+    t_exact[:, spec.active_axes[0]] = theta_prime[:, None, None] * pi7(gen, phi)
     return t_exact
 
 
@@ -162,7 +162,7 @@ def test_raw_divergence_21_content_decays():
         state = initial_data("random-smooth", {"eps": 0.05, "kmax": 2}, spec, seed=3)
         t = torsion(spec, state.phi)
         raw = div_torsion(spec, t)
-        proj = pi7(raw, state.phi_dense())
+        proj = pi7(raw, state.phi)
         errs.append(float(np.abs(raw - proj).max()))
     for p in observed_order(errs):
         assert abs(p - 2) < 0.2
@@ -174,7 +174,7 @@ def test_omega21_defect_negative_control(rng):
     t = torsion(spec, state.phi)
     noise = rng.standard_normal((8, 8))
     t_bad = t.copy()
-    t_bad[:, 0] += 0.1 * pi21(noise - noise.T, state.phi_dense())
+    t_bad[:, 0] += 0.1 * pi21(noise - noise.T, state.phi)
     assert omega21_defect(spec, t_bad, state.phi) > 1e-2
 
 
@@ -205,7 +205,7 @@ def test_summation_by_parts(rng):
     grad_beta = fd_gradient_generic(spec, beta)  # (n, 1, 8, 8)
     rhs = np.sum(t[:, 0] * grad_beta[:, 0])
     assert abs(lhs + rhs) < 1e-12 * max(1.0, abs(lhs))
-    div_proj = pi7(div_raw, state.phi_dense())
+    div_proj = pi7(div_raw, state.phi)
     assert abs(np.sum(div_proj * beta) + rhs) < 1e-4
 
 
@@ -317,7 +317,7 @@ def test_bianchi_negative_control(rng):
         wave = np.sin(2 * np.pi * xs[0] / spec.period)
         t_bad = t.copy()
         t_bad[..., 0, :, :] += (0.3 * wave)[..., None, None] * pi21(
-            noise - noise.T, state.phi_dense())
+            noise - noise.T, state.phi)
         bad = bianchi_residual(spec, t_bad)
         assert bad > 5 * clean
         corrupted.append(bad)
@@ -339,7 +339,7 @@ def test_shifted_active_axes_equivalent():
         spec = LatticeSpec(active_axes=axes, points=16)
         state = initial_data("rotation-field", {"eps": 0.05}, spec, seed=1)
         t = torsion(spec, state.phi)
-        div = pi7(div_torsion(spec, t), state.phi_dense())
+        div = pi7(div_torsion(spec, t), state.phi)
         results[axes] = (
             energy(spec, t),
             float(np.abs(div).max()),
@@ -357,7 +357,7 @@ def test_two_axis_shifted_equivalent():
         spec = LatticeSpec(active_axes=axes, points=8)
         state = initial_data("random-smooth", {"eps": 0.05, "kmax": 1}, spec, seed=7)
         t = torsion(spec, state.phi)
-        div = pi7(div_torsion(spec, t), state.phi_dense())
+        div = pi7(div_torsion(spec, t), state.phi)
         if axes == (0, 1):
             ref = (energy(spec, t), float(np.abs(div).max()),
                    bianchi_residual(spec, t))

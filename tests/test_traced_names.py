@@ -23,3 +23,12 @@ def test_traced_name_resolves(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_bindings_the_tracer_test_reads():
+    """`perfbench/test_spantrace.py` wraps and restores `lattice.unpack4` and
+    `flow.metric_from_form`; both names must stay bound to the algebra
+    functions although neither module calls them on the step path."""
+    from spin7 import algebra, flow, lattice
+    assert lattice.unpack4 is algebra.unpack4
+    assert flow.metric_from_form is algebra.metric_from_form
