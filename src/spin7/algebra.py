@@ -307,48 +307,72 @@ def endo_split(endo: np.ndarray, phi: np.ndarray):
 # ---------------------------------------------------------------------------
 # the induced metric
 
-def _shuffles(total, sizes):
-    """(sizes)-shuffles of range(total) with signs, as index arrays."""
-    rows = []
-    signs = []
-    def rec(remaining, blocks):
-        if not blocks:
-            rows.append([i for blk in blocks_acc for i in blk])
-            perm = rows[-1]
-            signs.append(_perm_sign(perm))
-            return
-        for blk in itertools.combinations(remaining, blocks[0]):
-            blocks_acc.append(blk)
-            rec(tuple(x for x in remaining if x not in blk), blocks[1:])
-            blocks_acc.pop()
-    blocks_acc: list = []
-    rec(tuple(range(total)), list(sizes))
-    return np.array(rows, dtype=np.int64), np.array(signs, dtype=np.float64)
+# The frame formula reads phi[k, a, b, c] over the ascending triples only:
+# 8 x 56 dense entries, gathered per point block by their flat offsets.
+_FRAME_READ = np.array([((k * 8 + a) * 8 + b) * 8 + c for k in range(8) for a, b, c in TRIPLES])
+_METRIC_BLOCK = 32    # points per block, bounding the working set of metric_from_form
+_METRIC_CONST = 7.0**3 / 6.0 ** (7.0 / 3.0)
 
 
-_B_SPLITS, _B_SIGNS = _shuffles(7, (2, 2, 3))    # 210 rows: pair, pair, triple
-_A_SPLITS, _A_SIGNS = _shuffles(7, (3, 4))       # 35 rows: triple, quadruple
+def _frame_tables():
+    """Index and sign tables of the frame formula on the 7 completion columns.
 
-
-def _g_ww(p3f: np.ndarray, phif: np.ndarray) -> np.ndarray:
-    """g(w, w) for a frame {w, e_c : c in cols}, batched over the form.
-
-    p3f is phi(w, ., ., .) and phif is phi, both restricted to the
-    completion columns.
+    gamma = i_w phi restricted to the columns is stored as its 35
+    ascending-triple components.  Gamma[a, p] = gamma[a, p] is row a of
+    gamma as a 2-form (7 x 21), and M[p, q] = (*_7 gamma)[p, q] =
+    sign(p, q, r) gamma_r, r the triple left by the disjoint pairs p, q, is
+    the pair matrix of *_7 gamma (21 x 21); entries with a repeated index
+    read slot 0 with sign 0.  A(w) = sum_r sign(r, r') gamma_r phi_r' over
+    the complementary quadruples r'.  Per frame i, `frames[i]` holds the
+    positions in _FRAME_READ of gamma(e_k) for k = i..7 and of phi_r'.
     """
-    s = _B_SPLITS
-    g1 = p3f[..., :, s[:, 0], s[:, 1]]                 # (...,7,210)
-    g2 = p3f[..., :, s[:, 2], s[:, 3]]                 # (...,7,210)
-    g3 = _B_SIGNS * p3f[..., s[:, 4], s[:, 5], s[:, 6]]  # (...,210)
-    b = np.einsum("...it,...jt,...t->...ij", g1, g2, g3)
-    a = _A_SPLITS
-    aval = np.einsum("...t,...t->...",
-                     _A_SIGNS * p3f[..., a[:, 0], a[:, 1], a[:, 2]],
-                     phif[..., a[:, 3], a[:, 4], a[:, 5], a[:, 6]])
+    triples = tuple(itertools.combinations(range(7), 3))
+    pairs = tuple(itertools.combinations(range(7), 2))
+    t_pos = {t: n for n, t in enumerate(triples)}
+    g_slot, g_sign = np.zeros((7, 21), dtype=np.int64), np.zeros((7, 21))
+    for a in range(7):
+        for p, pair in enumerate(pairs):
+            if a not in pair:
+                g_slot[a, p] = t_pos[tuple(sorted((a,) + pair))]
+                g_sign[a, p] = _perm_sign((a,) + pair)
+    m_slot, m_sign = np.zeros((21, 21), dtype=np.int64), np.zeros((21, 21))
+    for p, pp in enumerate(pairs):
+        for q, qq in enumerate(pairs):
+            if not set(pp) & set(qq):
+                r = tuple(x for x in range(7) if x not in pp + qq)
+                m_slot[p, q] = t_pos[r]
+                m_sign[p, q] = _perm_sign(pp + qq + r)
+    quads = [tuple(x for x in range(7) if x not in r) for r in triples]
+    a_sign = np.array([float(_perm_sign(r + q)) for r, q in zip(triples, quads)])
+    read_pos = {(k,) + t: n for n, (k, t) in enumerate(itertools.product(range(8), TRIPLES))}
+    frames = []
+    for i in range(8):
+        cols = [c for c in range(8) if c != i]
+        w_pos = [[read_pos[(k,) + tuple(cols[x] for x in r)] for r in triples]
+                 for k in range(i, 8)]
+        a_pos = [read_pos[tuple(cols[x] for x in q)] for q in quads]
+        frames.append((np.array(w_pos), np.array(a_pos)))
+    return g_slot, g_sign, m_slot, m_sign, a_sign, tuple(frames)
+
+
+_GAMMA_SLOT, _GAMMA_SIGN, _STAR_SLOT, _STAR_SIGN, _A_SIGN, _FRAMES = _frame_tables()
+
+
+def _g_ww(gam: np.ndarray, a_form: np.ndarray) -> np.ndarray:
+    """g(w, w) for a batch of vectors w of one frame {w, e_c : c in cols}.
+
+    gam is i_w phi on the columns, (..., 35); a_form is the signed
+    complementary-quadruple vector of phi, (..., 35), so A(w) = gam . a_form.
+    """
+    aval = np.matmul(gam[..., None, :], a_form[..., :, None])[..., 0, 0]
     if np.any(np.abs(aval) < 1e-14):
         raise DegenerateFormError("degenerate 4-form: frame 7-form A(v) vanishes")
-    det_b = np.linalg.det(b)
-    g_sq = -(7.0**3 / 6.0 ** (7.0 / 3.0)) * np.cbrt(det_b) / aval**3
+    rows = np.take(gam, _GAMMA_SLOT, axis=-1)     # Gamma
+    rows *= _GAMMA_SIGN
+    star = np.take(gam, _STAR_SLOT, axis=-1)      # M
+    star *= _STAR_SIGN
+    det_b = np.linalg.det(rows @ star @ np.swapaxes(rows, -1, -2))
+    g_sq = -_METRIC_CONST * np.cbrt(det_b) / aval**3
     if np.any(g_sq <= 0.0):
         raise DegenerateFormError("degenerate 4-form: induced g(v,v)^2 not positive")
     return np.sqrt(g_sq)
@@ -361,19 +385,26 @@ def metric_from_form(phi: np.ndarray) -> np.ndarray:
     e_i + e_j (i < j), each with the static completion frame {e_c : c != i}
     (the determinant formula is frame-covariant so no orthonormalization is
     needed), and polarizes g(u,v) = (g(u+v,u+v) - g(u,u) - g(v,v)) / 2.
+    On a frame, g(w,w)^2 = -(7^3 / 6^(7/3)) det(B)^(1/3) / A(w)^3 with
+    B = Gamma M Gamma^T (see `_frame_tables`).  The points are walked in
+    blocks of 32, and the vectors of one frame are batched.
 
     Raises DegenerateFormError when the input fails nondegeneracy.
     """
-    g = np.zeros(phi.shape[:-4] + (8, 8))
-    sums = {}
-    for i in range(8):
-        cols = np.array([c for c in range(8) if c != i])
-        # phi with its last three slots restricted to the frame, gathered once
-        p3 = phi[..., cols[:, None, None], cols[None, :, None], cols[None, None, :]]
-        phif = p3[..., cols, :, :, :]
-        g[..., i, i] = _g_ww(p3[..., i, :, :, :], phif)
-        for j in range(i + 1, 8):
-            sums[i, j] = _g_ww(p3[..., i, :, :, :] + p3[..., j, :, :, :], phif)
-    for (i, j), val in sums.items():
-        g[..., i, j] = g[..., j, i] = 0.5 * (val - g[..., i, i] - g[..., j, j])
-    return g
+    lead = phi.shape[:-4]
+    flat = phi.reshape(-1, 8**4)
+    g = np.empty((flat.shape[0], 8, 8))
+    for start in range(0, flat.shape[0], _METRIC_BLOCK):
+        # fancy indexing reads a strided input in place; np.take would copy it whole
+        read = np.ascontiguousarray(flat[start:start + _METRIC_BLOCK, _FRAME_READ])
+        g_blk = g[start:start + _METRIC_BLOCK]
+        for i, (w_pos, a_pos) in enumerate(_FRAMES):
+            gam = np.take(read, w_pos, axis=-1)      # gamma(e_k), k = i..7
+            gam[:, 1:] += gam[:, :1]                 # gamma(e_i + e_k)
+            a_form = np.take(read, a_pos, axis=-1)
+            a_form *= _A_SIGN
+            g_blk[:, i, i:] = _g_ww(gam, a_form[:, None, :])
+    lo, hi = np.triu_indices(8, 1)
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    g[:, lo, hi] = g[:, hi, lo] = 0.5 * (g[:, lo, hi] - diag[:, lo] - diag[:, hi])
+    return g.reshape(lead + (8, 8))

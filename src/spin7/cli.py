@@ -193,6 +193,12 @@ def cmd_flow_resume(args) -> int:
     config, raw = parse_config(loaded.config_dict), loaded.config_dict
     if config.spec != loaded.state.spec:
         raise ConfigError("checkpoint lattice disagrees with its embedded config")
+    # tested at resume, not in read_checkpoint: the analysis commands read
+    # many checkpoints per call and flow none of them
+    try:
+        flow.require_admissible(loaded.state)
+    except ValueError as exc:
+        raise storage.CheckpointError(f"checkpoint cannot be resumed: {exc}")
     return _run_and_write(config, raw, args.out, state=loaded.state,
                           prev_record=loaded.prev_record)
 

@@ -36,6 +36,7 @@ __all__ = [
     "RunResult",
     "diagnostics",
     "metric_drift",
+    "require_admissible",
     "energy_gradient_check",
     "torsion_evolution_residual",
     "quartic_terms",
@@ -153,6 +154,9 @@ def _profile(spec: LatticeSpec, kind: str, params: dict):
     if kind == "bump":
         width = float(params.get("width", l / 16.0))
         centers = params.get("center", [l / 2.0] * spec.n_axes)
+        if len(centers) != spec.n_axes:
+            raise ValueError(f"bump center needs {spec.n_axes} coordinates, one per "
+                             f"active axis, got {len(centers)}")
         out = np.ones(spec.grid_shape)
         for x, c in zip(xs, centers):
             # Gaussian in the periodic chordal distance (L/pi) sin(pi d / L),
@@ -226,9 +230,7 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
             a_field = a_field + (eps * np.sin(phase))[..., None, None] * gen
         phi = orbit.rotate_form(orbit.so8_exp(a_field), phi0c)
     state = FlowState(spec=spec, phi=phi)
-    drift = metric_drift(state)
-    if not drift < 1e-8:
-        raise ValueError(f"initial data failed admissibility: metric drift {drift:.3e}")
+    require_admissible(state)
     return state
 
 
@@ -270,6 +272,18 @@ def metric_drift(state: FlowState) -> float:
     one dense form a diagnostics record builds."""
     g = metric_from_form(state.phi_dense())
     return float(np.abs(g - np.eye(8)).max())
+
+
+def require_admissible(state: FlowState) -> None:
+    """Refuse a state off the rotation orbit: every form must induce the
+    identity metric, to a `metric_drift` below 1e-8.
+
+    Raises ValueError, or its subclass DegenerateFormError where a form
+    induces no metric at all.
+    """
+    drift = metric_drift(state)
+    if not drift < 1e-8:
+        raise ValueError(f"form is off the rotation orbit: metric drift {drift:.3e}")
 
 
 def _record(state: FlowState, ev: Evaluation, prev: tuple[float, float] | None) -> DiagRecord:

@@ -227,6 +227,12 @@ def omega21_defect(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray
     return float(np.sqrt(np.max(np.sum(defect * defect, axis=(-1, -2)))))
 
 
+def _active_slices(spec: LatticeSpec, t_field: np.ndarray) -> np.ndarray:
+    """The m-slices T_i on the active axes, grid + (k, 8, 8); the inactive
+    slices, and every derivative along an inactive axis, are exactly zero."""
+    return np.take(t_field, spec.active_axes, axis=-3)
+
+
 def bianchi_residual(spec: LatticeSpec, t_field: np.ndarray) -> float:
     """Flat-torus residual of the first-order torsion identity.
 
@@ -234,9 +240,11 @@ def bianchi_residual(spec: LatticeSpec, t_field: np.ndarray) -> float:
                   + 2 T_{j;am} T_{i;mb};
     the curvature terms of the closed identity vanish on the flat torus, so
     this is O(h^p) on smooth admissible fields.  Returns the max norm.
+    res_ij is zero when i or j is inactive, so only active pairs are formed.
     """
-    gt = fd_gradient_embedded(spec, t_field)
-    quad = np.einsum("...iam,...jmb->...ijab", t_field, t_field)
+    tk = _active_slices(spec, t_field)
+    gt = fd_gradient_generic(spec, tk)                                  # [i, j] = d_i T_j
+    quad = np.matmul(tk[..., :, None, :, :], tk[..., None, :, :, :])    # [i, j] = T_i T_j
     res = gt - np.swapaxes(gt, -4, -3) - 2.0 * quad + 2.0 * np.swapaxes(quad, -4, -3)
     return float(np.abs(res).max())
 
@@ -247,12 +255,16 @@ def ricci_residual(spec: LatticeSpec, t_field: np.ndarray,
 
     res_ij = 4 d_i T_{a;ja} - 4 d_a T_{i;ja} - 8 T_{i;jb} T_{a;ba}
              + 8 T_{a;jb} T_{i;ba};  O(h^p) on smooth admissible fields.
+    Rows i on inactive axes are zero, and a runs over the active axes only.
     """
-    gt = fd_gradient_embedded(spec, t_field)
-    res = (4.0 * np.einsum("...iaja->...ij", gt)
-           - 4.0 * np.einsum("...aija->...ij", gt)
-           - 8.0 * np.einsum("...ijb,...aba->...ij", t_field, t_field)
-           + 8.0 * np.einsum("...ajb,...iba->...ij", t_field, t_field))
+    tk = _active_slices(spec, t_field)
+    cols = np.take(tk, spec.active_axes, axis=-1)     # [i, j, a] = T_{i;ja}
+    gc = fd_gradient_generic(spec, cols)             # [d, i, j, a] = d_d T_{i;ja}
+    res = (4.0 * np.einsum("...iaja->...ij", gc)
+           - 4.0 * np.einsum("...aija->...ij", gc)
+           - 8.0 * np.einsum("...ijb,...aba->...ij", tk, cols)
+           + 8.0 * np.einsum("...ajb,...iba->...ij", tk, cols))
+    res = _embed_m_axis(spec, res, res.ndim - 2)
     if return_field:
         return res
     return float(np.abs(res).max())

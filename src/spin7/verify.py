@@ -251,6 +251,19 @@ def run_suite(seed: int = 20240801, n_rotations: int = 100,
     out.append(IdentityResult("stabiliser isotropy (21-summand exponentials fix the form)",
                               float(np.abs(iso - phic).max()), 1e-10))
 
+    # the metric is GL+(8)-covariant: A^* form induces A^T A; A stays well
+    # conditioned, since the frame formula loses digits with cond(A)
+    a_gl = np.eye(8) + 0.1 * rng.standard_normal((8, 8, 8))
+    a_gl[np.linalg.det(a_gl) < 0, 0] *= -1.0
+    a_glt = np.swapaxes(a_gl, -1, -2)
+    try:
+        pulled = metric_from_form(unpack4(orbit.rotate_form(a_glt, phic)))
+        gl_err = float(np.abs(pulled - a_glt @ a_gl).max())
+    except algebra.DegenerateFormError:
+        gl_err = float("inf")
+    out.append(IdentityResult("induced metric of A^* form = A^T A (GL+(8))", gl_err,
+                              IDENTITY_TOL))
+
     # derivative identities on lattice data at two resolutions
     if octonion_table is None:
         errs_n = []

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spin7.flow import DIAG_COLUMNS
-from spin7.storage import read_checkpoint
+from spin7.storage import read_checkpoint, write_checkpoint
 
 SMALL_CONFIG = {
     "lattice": {"active_axes": [1], "points": 16, "period": 1.0, "stencil_order": 2},
@@ -134,10 +135,12 @@ def _initial(family="rotation-field", **params):
     {"t_end": -1.0},
     {"div_tol": float("nan")},
     {"div_tol": -1e-8},
+    _initial(profile="bump", center=[0.5, 0.5]),
+    _initial(profile="bump", center=[]),
 ], ids=["family", "profile", "eps-text", "eps-list", "axis", "integrator-euler",
         "integrator-rk4", "params-unknown-key", "params-constant", "checkpoint-cadence",
         "max-steps", "blowup-negative", "blowup-inf", "t-end-nan", "t-end-negative",
-        "div-tol-nan", "div-tol-negative"])
+        "div-tol-nan", "div-tol-negative", "bump-center-long", "bump-center-short"])
 def test_bad_config_exits_2_before_the_run(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "o"
@@ -271,6 +274,27 @@ def test_resume_of_rescaled_checkpoint_is_the_rescaled_run(full_run, tmp_path):
     b = read_checkpoint(str(out / "ckpt_00000040.s7fl"))
     assert a.state.phi.tobytes() == b.state.phi.tobytes()
     assert b.state.spec.period == 2.0 and b.state.t == 4.0 * a.state.t
+
+
+@pytest.mark.parametrize("payload", ["doubled", "noisy"])
+def test_resume_refuses_a_form_off_the_orbit(full_run, tmp_path, payload):
+    """`2 Phi` induces the metric sqrt(2) I (drift 0.414), and a noisy form
+    induces none; both are refused before the run starts."""
+    loaded = read_checkpoint(str(full_run / "ckpt_00000020.s7fl"))
+    phi = loaded.state.phi
+    if payload == "doubled":
+        phi = 2.0 * phi
+    else:
+        phi = phi + np.random.default_rng(3).standard_normal(phi.shape)
+    bad = tmp_path / "bad.s7fl"
+    write_checkpoint(str(bad), replace(loaded.state, phi=phi),
+                     prev_record=loaded.prev_record, config_dict=loaded.config_dict)
+    out = tmp_path / "out"
+    proc = run_cli("flow", "resume", "--checkpoint", str(bad), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert ("metric drift" if payload == "doubled" else "degenerate") in proc.stderr
+    assert not (out / "manifest.json").exists()
 
 
 def test_soliton_check_on_rescaled_checkpoint(full_run, tmp_path):
