@@ -83,28 +83,46 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _index_maps(tuples, k):
-    """Dense<->canonical scatter tables for rank-k antisymmetric tensors."""
-    slot = np.zeros((8,) * k, dtype=np.int64)
-    sign = np.zeros((8,) * k, dtype=np.float64)
-    for c, tup in enumerate(tuples):
-        for perm in itertools.permutations(range(k)):
-            idx = tuple(tup[p] for p in perm)
-            slot[idx] = c
-            sign[idx] = _perm_sign(perm)
-    gather = tuple(np.array([t[i] for t in tuples]) for i in range(k))
+def _index_maps(tuples, n=8):
+    """Dense<->canonical scatter tables for antisymmetric tensors on R^n whose
+    rank is the length of the ascending `tuples`: the slot and sign of each
+    dense entry (0 and 0.0 where an index repeats), and the gather of the
+    canonical components."""
+    k = len(tuples[0])
+    gather = tuple(np.array(tuples).T.copy())
+    slot = np.zeros((n,) * k, dtype=np.int64)
+    sign = np.zeros((n,) * k)
+    for perm in itertools.permutations(range(k)):
+        idx = tuple(gather[p] for p in perm)
+        slot[idx] = np.arange(len(tuples))
+        sign[idx] = _perm_sign(perm)
     return slot, sign, gather
 
 
-_SLOT4, _SIGN4, _GATHER4 = _index_maps(QUADS, 4)
-_SLOT3, _SIGN3, _GATHER3 = _index_maps(TRIPLES, 3)
-_SLOT2, _SIGN2, _GATHER2 = _index_maps(PAIRS, 2)
+def _hodge_tables(tuples, rest):
+    """Complement of each ascending tuple among the ascending `rest` (its
+    index there) and the sign of the permutation tuple + complement."""
+    n = len(tuples[0]) + len(rest[0])
+    lookup = {r: i for i, r in enumerate(rest)}
+    comps = [tuple(x for x in range(n) if x not in t) for t in tuples]
+    comp = np.array([lookup[c] for c in comps])
+    sign = np.array([float(_perm_sign(t + c)) for t, c in zip(tuples, comps)])
+    return comp, sign
+
+
+_SLOT4, _SIGN4, _GATHER4 = _index_maps(QUADS)
+_SLOT3, _SIGN3, _GATHER3 = _index_maps(TRIPLES)
+_SLOT2, _SIGN2, _GATHER2 = _index_maps(PAIRS)
 
 # gathers of the slot and pair matrices from canonical storage
 _S_SLOT = _SLOT4[:, _GATHER3[0], _GATHER3[1], _GATHER3[2]]
 _S_SIGN = _SIGN4[:, _GATHER3[0], _GATHER3[1], _GATHER3[2]]
 _P_SLOT = _SLOT4[_GATHER2[0][:, None], _GATHER2[1][:, None], _GATHER2[0], _GATHER2[1]]
 _P_SIGN = _SIGN4[_GATHER2[0][:, None], _GATHER2[1][:, None], _GATHER2[0], _GATHER2[1]]
+# where each canonical component sits in the flattened pair matrix
+_P_CANON = _SLOT2[_GATHER4[0], _GATHER4[1]] * 28 + _SLOT2[_GATHER4[2], _GATHER4[3]]
+# hodge pairing on canonical quadruples: complement index and sign
+_HODGE_COMP, _HODGE_SIGN = _hodge_tables(QUADS, QUADS)
 
 
 def pack4(sigma: np.ndarray) -> np.ndarray:
@@ -114,7 +132,7 @@ def pack4(sigma: np.ndarray) -> np.ndarray:
 
 def unpack4(canon: np.ndarray) -> np.ndarray:
     """Canonical (...,70) -> dense (...,8,8,8,8)."""
-    dense = canon[..., _SLOT4]    # fancy indexing copies, so scaling in place is safe
+    dense = np.take(canon, _SLOT4, axis=-1)    # C-contiguous, unlike canon[..., _SLOT4]
     dense *= _SIGN4
     return dense
 
@@ -138,22 +156,9 @@ def pack3(gamma: np.ndarray) -> np.ndarray:
 
 
 def unpack3(canon: np.ndarray) -> np.ndarray:
-    return canon[..., _SLOT3] * _SIGN3
-
-
-# hodge pairing on canonical quadruples: complement index and sign
-def _hodge_tables():
-    lookup = {q: i for i, q in enumerate(QUADS)}
-    comp = np.zeros(70, dtype=np.int64)
-    sign = np.zeros(70)
-    for i, q in enumerate(QUADS):
-        rest = tuple(x for x in range(8) if x not in q)
-        comp[i] = lookup[rest]
-        sign[i] = _perm_sign(q + rest)
-    return comp, sign
-
-
-_HODGE_COMP, _HODGE_SIGN = _hodge_tables()
+    dense = np.take(canon, _SLOT3, axis=-1)
+    dense *= _SIGN3
+    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +167,13 @@ _HODGE_COMP, _HODGE_SIGN = _hodge_tables()
 def _build_cayley(table: np.ndarray = OCT_TABLE) -> np.ndarray:
     """The 4-form of the octonion product `table` (dense, read-only); the
     identity suite passes a corrupted table as its negative control."""
-    eye = np.eye(8)
-
-    def mul(a, b):
-        return np.einsum("...i,...j,ijk->...k", a, b, table)
-
-    def f(i, j, k, l):
-        return float(eye[i] @ mul(eye[j], mul(oct_conj(eye[k]), eye[l])))
-
+    # f[i, j, k, l] = <e_i, e_j (conj(e_k) e_l)>, then its antisymmetric part
+    conj = oct_conj(np.ones(8))
+    f = np.einsum("klm,jmi->ijkl", table, table) * conj[:, None]
     canon = np.zeros(70)
-    for c, quad in enumerate(QUADS):
-        val = 0.0
-        for perm in itertools.permutations(range(4)):
-            val += _perm_sign(perm) * f(*(quad[p] for p in perm))
-        canon[c] = val / 24.0
+    for perm in itertools.permutations(range(4)):
+        canon += _perm_sign(perm) * f[tuple(_GATHER4[p] for p in perm)]
+    canon /= 24.0
     dense = unpack4(canon)
     dense.setflags(write=False)
     return dense
@@ -221,7 +219,9 @@ def _form_on_2forms(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     i, j = _GATHER2
     v = beta[..., i, j] - beta[..., j, i]
     w = np.matmul(v[..., None, :], pair_matrix(phi))[..., 0, :]
-    return w[..., _SLOT2] * _SIGN2
+    out = np.take(w, _SLOT2, axis=-1)
+    out *= _SIGN2
+    return out
 
 
 def pi7(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -309,7 +309,7 @@ def endo_split(endo: np.ndarray, phi: np.ndarray):
 
 # The frame formula reads phi[k, a, b, c] over the ascending triples only:
 # 8 x 56 dense entries, gathered per point block by their flat offsets.
-_FRAME_READ = np.array([((k * 8 + a) * 8 + b) * 8 + c for k in range(8) for a, b, c in TRIPLES])
+_FRAME_READ = np.ravel_multi_index((np.arange(8)[:, None],) + _GATHER3, (8,) * 4).ravel()
 _METRIC_BLOCK = 32    # points per block, bounding the working set of metric_from_form
 _METRIC_CONST = 7.0**3 / 6.0 ** (7.0 / 3.0)
 
@@ -326,32 +326,24 @@ def _frame_tables():
     the complementary quadruples r'.  Per frame i, `frames[i]` holds the
     positions in _FRAME_READ of gamma(e_k) for k = i..7 and of phi_r'.
     """
-    triples = tuple(itertools.combinations(range(7), 3))
-    pairs = tuple(itertools.combinations(range(7), 2))
-    t_pos = {t: n for n, t in enumerate(triples)}
-    g_slot, g_sign = np.zeros((7, 21), dtype=np.int64), np.zeros((7, 21))
-    for a in range(7):
-        for p, pair in enumerate(pairs):
-            if a not in pair:
-                g_slot[a, p] = t_pos[tuple(sorted((a,) + pair))]
-                g_sign[a, p] = _perm_sign((a,) + pair)
-    m_slot, m_sign = np.zeros((21, 21), dtype=np.int64), np.zeros((21, 21))
-    for p, pp in enumerate(pairs):
-        for q, qq in enumerate(pairs):
-            if not set(pp) & set(qq):
-                r = tuple(x for x in range(7) if x not in pp + qq)
-                m_slot[p, q] = t_pos[r]
-                m_sign[p, q] = _perm_sign(pp + qq + r)
-    quads = [tuple(x for x in range(7) if x not in r) for r in triples]
-    a_sign = np.array([float(_perm_sign(r + q)) for r, q in zip(triples, quads)])
-    read_pos = {(k,) + t: n for n, (k, t) in enumerate(itertools.product(range(8), TRIPLES))}
+    triples, quads = (tuple(itertools.combinations(range(7), k)) for k in (3, 4))
+    slot3, sign3, gather3 = _index_maps(triples, n=7)
+    slot4, sign4, _ = _index_maps(quads, n=7)
+    p0, p1 = _index_maps(tuple(itertools.combinations(range(7), 2)), n=7)[2]
+    g_slot, g_sign = slot3[:, p0, p1], sign3[:, p0, p1]
+    pq = (p0[:, None], p1[:, None], p0, p1)      # the 4-tuple (p, q) of two pairs
+    star_comp, star_sign = _hodge_tables(quads, triples)
+    m_sign = sign4[pq] * star_sign[slot4[pq]]
+    m_slot = np.where(m_sign != 0.0, star_comp[slot4[pq]], 0)
+    a_comp, a_sign = _hodge_tables(triples, quads)
+    gather4 = tuple(np.array(quads)[a_comp].T)    # r' per triple r
     frames = []
     for i in range(8):
-        cols = [c for c in range(8) if c != i]
-        w_pos = [[read_pos[(k,) + tuple(cols[x] for x in r)] for r in triples]
-                 for k in range(i, 8)]
-        a_pos = [read_pos[tuple(cols[x] for x in q)] for q in quads]
-        frames.append((np.array(w_pos), np.array(a_pos)))
+        cols = np.delete(np.arange(8), i)
+        t_read = _SLOT3[tuple(cols[g] for g in gather3)]
+        w_pos = np.arange(i, 8)[:, None] * 56 + t_read
+        a_pos = cols[gather4[0]] * 56 + _SLOT3[tuple(cols[g] for g in gather4[1:])]
+        frames.append((w_pos, a_pos))
     return g_slot, g_sign, m_slot, m_sign, a_sign, tuple(frames)
 
 

@@ -54,54 +54,48 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing (strict: unknown keys are errors)
 
+# How each optional key FlowConfig takes is coerced.  FlowConfig holds every
+# default, and a null t_end or max_steps stays None.
+_COERCE = {"cfl": float, "t_end": float, "max_steps": int, "diag_cadence": int,
+           "checkpoint_cadence": int, "div_tol": float, "blowup_factor": float}
+_INITIAL_COERCE = {"family": lambda v: v, "params": dict, "seed": int}
 # "integrator" is legacy: older configs carry "lie-euler", its only value
-_TOP_KEYS = {"lattice", "initial", "cfl", "t_end", "max_steps", "diag_cadence",
-             "checkpoint_cadence", "div_tol", "blowup_factor", "integrator"}
+_TOP_KEYS = {"lattice", "initial", "integrator"} | set(_COERCE)
 _LATTICE_KEYS = {"active_axes", "points", "period", "stencil_order"}
-_INITIAL_KEYS = {"family", "params", "seed"}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(d) - allowed)
+def _object(value, where: str, allowed: set | None = None) -> dict:
+    """A JSON object from the config; with `allowed`, every key must lie in it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(value) - allowed) if allowed is not None else []
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    return value
 
 
 def parse_config(config_dict: dict) -> FlowConfig:
-    if not isinstance(config_dict, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(config_dict, _TOP_KEYS, "config")
-    try:
-        lat = config_dict["lattice"]
-    except KeyError:
+    root = _object(config_dict, "config", _TOP_KEYS)
+    if "lattice" not in root:
         raise ConfigError("missing required key 'lattice'")
-    _reject_unknown(lat, _LATTICE_KEYS, "lattice")
+    lat = _object(root["lattice"], "lattice", _LATTICE_KEYS)
     try:
         spec = LatticeSpec.from_dict(lat)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad lattice spec: {exc}")
-    init = config_dict.get("initial", {})
-    _reject_unknown(init, _INITIAL_KEYS, "initial")
-    integrator = config_dict.get("integrator", "lie-euler")
+    init = _object(root.get("initial", {}), "initial", set(_INITIAL_COERCE))
+    if "params" in init:
+        _object(init["params"], "params")    # its keys are the family's to check
+    integrator = root.get("integrator", "lie-euler")
     if integrator != "lie-euler":
         raise ConfigError(f"unknown integrator {integrator!r}: only 'lie-euler' is "
                           "supported (the Euler integrator was removed)")
     try:
-        return FlowConfig(
-            spec=spec,
-            family=init.get("family", "rotation-field"),
-            params=dict(init.get("params", {})),
-            seed=int(init.get("seed", 0)),
-            cfl=float(config_dict.get("cfl", 0.1)),
-            t_end=(None if config_dict.get("t_end") is None
-                   else float(config_dict["t_end"])),
-            max_steps=(None if config_dict.get("max_steps") is None
-                       else int(config_dict["max_steps"])),
-            diag_cadence=int(config_dict.get("diag_cadence", 10)),
-            checkpoint_cadence=int(config_dict.get("checkpoint_cadence", 0)),
-            div_tol=float(config_dict.get("div_tol", 1e-8)),
-            blowup_factor=float(config_dict.get("blowup_factor", 1e6)),
-        )
+        kwargs = {key: None if root[key] is None else kind(root[key])
+                  for key, kind in _COERCE.items() if key in root}
+        kwargs.update((key, kind(init[key])) for key, kind in _INITIAL_COERCE.items()
+                      if key in init)
+        return FlowConfig(spec=spec, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
@@ -241,7 +235,10 @@ def cmd_theta(args) -> int:
 
 def cmd_entropy(args) -> int:
     (state,) = _load_states([args.checkpoint])
-    val = flow.entropy(state, args.sigma, t_samples=args.t_samples, x_stride=args.x_stride)
+    try:
+        val = flow.entropy(state, args.sigma, t_samples=args.t_samples, x_stride=args.x_stride)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     storage.write_series_csv(args.out_csv, [(args.sigma, val)], ("sigma", "entropy"))
     print(f"entropy({args.sigma:g}) = {val:.16e} -> {args.out_csv}")
     return 0

@@ -70,9 +70,6 @@ class FlowState:
     def phi_dense(self) -> np.ndarray:
         return unpack4(self.phi)
 
-    def copy(self) -> "FlowState":
-        return replace(self, phi=self.phi.copy())
-
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -84,7 +81,7 @@ class FlowConfig:
     seed: int = 0
     cfl: float = 0.1
     t_end: float | None = None
-    max_steps: int | None = 1000
+    max_steps: int | None = None
     diag_cadence: int = 10
     checkpoint_cadence: int = 0          # 0: only the final checkpoint
     div_tol: float = 1e-8
@@ -322,7 +319,6 @@ class RunResult:
     records: list
     state: FlowState
     exit_reason: str
-    checkpoints: list
 
 
 def run_flow(config: FlowConfig, state: FlowState | None = None,
@@ -343,8 +339,8 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
         state = initial_data(config.family, config.params, config.spec, config.seed)
     dt = config.dt
     records: list[DiagRecord] = []
-    checkpoints: list[FlowState] = []
     prev = prev_record
+    written = None     # step of the last checkpoint handed to on_checkpoint
     blowup_ceiling = config.blowup_factor / config.spec.spacing
 
     def emit(st: FlowState, ev: Evaluation) -> None:
@@ -356,10 +352,9 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
             on_record(rec)
 
     def take_checkpoint(st: FlowState):
-        if checkpoints and checkpoints[-1].step == st.step:
-            return
-        checkpoints.append(st.copy())
-        if on_checkpoint is not None:
+        nonlocal written
+        if on_checkpoint is not None and st.step != written:
+            written = st.step
             on_checkpoint(st, prev)
 
     exit_reason = "max_steps"
@@ -393,8 +388,7 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
     if not records or records[-1].t != state.t:
         emit(state, ev)
     take_checkpoint(state)
-    return RunResult(records=records, state=state, exit_reason=exit_reason,
-                     checkpoints=checkpoints)
+    return RunResult(records=records, state=state, exit_reason=exit_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +460,18 @@ def theta_functional(states, center: tuple[int, ...], t0: float) -> np.ndarray:
 def entropy(state: FlowState, sigma: float, t_samples: int = 16, x_stride: int = 1) -> float:
     """max over sampled centers and scales t in (0, sigma] of
     t * integral |T|^2 u_{(x,t)}; a lower bound that is nondecreasing
-    under sampling refinement."""
-    if sigma <= 0:
+    under sampling refinement.
+
+    Raises ValueError when sigma is not positive, or when the smallest
+    scale sigma * 2^(1 - t_samples) underflows to 0."""
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
+    taus = sigma * np.power(2.0, -np.arange(t_samples, dtype=float)[::-1])
+    if not np.all(taus > 0):
+        raise ValueError(f"the smallest scale sigma * 2^(1 - t_samples) underflows to 0 "
+                         f"(sigma {sigma:g}, t_samples {t_samples})")
     spec = state.spec
     tsq = lattice.torsion_norm_sq(evaluate(state).t_field)
-    taus = sigma * np.power(2.0, -np.arange(t_samples, dtype=float)[::-1])
     centers = np.ndindex(*(max(1, spec.points // max(1, x_stride)),) * spec.n_axes)
     best = 0.0
     for cidx in centers:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import PAIRS, PHI0, QUADS, pair_matrix, unpack4
+from .algebra import _GATHER2, _GATHER4, _P_CANON, PHI0, QUADS, pair_matrix, unpack4
 from .octonion import OCT_TABLE, right_mult_matrix
 
 __all__ = [
@@ -46,15 +46,9 @@ __all__ = [
 
 # theta components are linear in X: precompute the (70, 8) coefficient table
 # TH[c, m] with theta_canon[c] = sum_m TH[c, m] X_m, from
-# F(i,j,k,l) = Phi0((e_i X), e_j, e_k, e_l) on ascending quadruples.
-def _theta_table() -> np.ndarray:
-    # (e_i X)_p = OCT_TABLE[i, m, p] X_m
-    f_coef = np.einsum("imp,pjkl->ijklm", OCT_TABLE, PHI0)
-    rows = np.array(QUADS)
-    return f_coef[rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], :]
-
-
-_THETA_TABLE = _theta_table()
+# F(i,j,k,l) = Phi0((e_i X), e_j, e_k, e_l) on ascending quadruples,
+# (e_i X)_p = OCT_TABLE[i, m, p] X_m.
+_THETA_TABLE = np.einsum("imp,pjkl->ijklm", OCT_TABLE, PHI0)[_GATHER4]
 
 
 def theta_form(x: np.ndarray) -> np.ndarray:
@@ -156,10 +150,8 @@ def so8_exp(a: np.ndarray, check: bool = True) -> np.ndarray:
     return out
 
 
-# rows and columns of the 2x2 minors, and where each canonical component
-# sits in the flattened pair matrix: phi[i, j, k, l] = P[(ij), (kl)]
-_PAIR_I, _PAIR_J = np.array(PAIRS).T
-_QUAD_ENTRY = np.array([28 * PAIRS.index(q[:2]) + PAIRS.index(q[2:]) for q in QUADS])
+# rows and columns of the 2x2 minors, in the pair order of the pair matrix
+_PAIR_I, _PAIR_J = _GATHER2
 
 
 def rotate_form(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -180,4 +172,4 @@ def rotate_form(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     minors = (np.take(ri, _PAIR_I, axis=-1) * np.take(rj, _PAIR_J, axis=-1)
               - np.take(ri, _PAIR_J, axis=-1) * np.take(rj, _PAIR_I, axis=-1))
     p_new = minors @ pair_matrix(phi) @ np.swapaxes(minors, -1, -2)
-    return np.take(p_new.reshape(p_new.shape[:-2] + (784,)), _QUAD_ENTRY, axis=-1)
+    return np.take(p_new.reshape(p_new.shape[:-2] + (784,)), _P_CANON, axis=-1)

@@ -137,10 +137,15 @@ def _initial(family="rotation-field", **params):
     {"div_tol": -1e-8},
     _initial(profile="bump", center=[0.5, 0.5]),
     _initial(profile="bump", center=[]),
+    {"initial": []},
+    {"initial": 5},
+    {"lattice": 5},
+    {"initial": {"family": "rotation-field", "params": [["eps", 0.1]], "seed": 1}},
 ], ids=["family", "profile", "eps-text", "eps-list", "axis", "integrator-euler",
         "integrator-rk4", "params-unknown-key", "params-constant", "checkpoint-cadence",
         "max-steps", "blowup-negative", "blowup-inf", "t-end-nan", "t-end-negative",
-        "div-tol-nan", "div-tol-negative", "bump-center-long", "bump-center-short"])
+        "div-tol-nan", "div-tol-negative", "bump-center-long", "bump-center-short",
+        "initial-list", "initial-number", "lattice-number", "params-list"])
 def test_bad_config_exits_2_before_the_run(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "o"
@@ -323,10 +328,11 @@ def test_soliton_check_on_rescaled_checkpoint(full_run, tmp_path):
     ["theta", "--t0", "1.0", "--center", "99"],
     ["theta", "--t0", "1.0", "--center", "-1"],
     ["soliton-check", "--x-seed", "-1"],
+    ["entropy", "--sigma", "0.01", "--t-samples", "2000"],
 ], ids=["entropy-sigma", "entropy-t-samples", "entropy-x-stride", "rescale-factor-0",
         "rescale-factor-nan", "theta-t0-at-state", "theta-t0-below-state",
         "theta-center", "theta-center-out-of-range", "theta-center-negative",
-        "soliton-x-seed-negative"])
+        "soliton-x-seed-negative", "entropy-scale-underflow"])
 def test_bad_arguments_exit_2(full_run, tmp_path, args):
     ck = str(full_run / "ckpt_00000040.s7fl")
     t = repr(read_checkpoint(ck).state.t)
@@ -358,6 +364,20 @@ def test_entropy_command(full_run, tmp_path):
     assert proc.returncode == 0, proc.stderr
     val = float(csv.read_text().splitlines()[1].split(",")[1])
     assert val > 0
+
+
+@pytest.mark.parametrize("args", [
+    ["theta", "--t0", "1e6"],
+    ["entropy", "--sigma", "1e7"],
+], ids=["theta-t0-1e6", "entropy-sigma-1e7"])
+def test_wide_heat_kernels_give_finite_values(full_run, tmp_path, args):
+    """Scales far beyond the period, where the heat kernel is the uniform
+    density and the image sum would need millions of images."""
+    csv = tmp_path / "out.csv"
+    proc = run_cli(*args, "--checkpoint", str(full_run / "ckpt_00000040.s7fl"),
+                   "--out-csv", str(csv))
+    assert proc.returncode == 0, proc.stderr
+    assert np.isfinite(float(csv.read_text().splitlines()[1].split(",")[1]))
 
 
 def test_theta_incompatible_lattices(full_run, tmp_path):

@@ -567,7 +567,7 @@ def test_run_stops_at_t_end():
     spec = small_spec(16)
     dt = 0.1 * spec.spacing**2
     cfg = FlowConfig(spec=spec, family="rotation-field", params={"eps": 0.05}, seed=1,
-                     t_end=10.5 * dt, max_steps=None, diag_cadence=5)
+                     t_end=10.5 * dt, diag_cadence=5)
     res = run_flow(cfg)
     assert res.exit_reason == "t_end"
     assert res.state.step == 11

@@ -28,9 +28,36 @@ def test_kernel_large_tau_uniform():
     np.testing.assert_allclose(k, 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("tau", [1e4, 1e8])
+@pytest.mark.parametrize("period", [1.0, 2.0])
+def test_kernel_very_large_tau_is_uniform(tau, period):
+    d = np.linspace(-period, period, 9)[1:-1]
+    k = periodized_gaussian_1d(d, tau=tau, period=period)
+    np.testing.assert_allclose(k, 1.0 / period, rtol=1e-12)
+
+
+def _image_sum(d, tau, period, images=200):
+    n = np.arange(-images, images + 1)
+    terms = np.exp(-((d[:, None] + n * period) ** 2) / (4.0 * tau))
+    return terms.sum(axis=1) / np.sqrt(4.0 * np.pi * tau)
+
+
+@pytest.mark.parametrize("tau", [0.2, 0.25, 0.25 * (1 + 1e-12), 0.3, 3.0, 1e2])
+def test_kernel_matches_a_long_image_sum_across_the_series_switch(tau):
+    # the Fourier series takes over above 4 tau = L^2
+    d = np.linspace(-0.99, 0.99, 23)
+    k = periodized_gaussian_1d(d, tau=tau, period=1.0)
+    np.testing.assert_allclose(k, _image_sum(d, tau, 1.0), rtol=1e-14)
+
+
 def test_kernel_invalid_tau():
     with pytest.raises(ValueError):
         periodized_gaussian_1d(np.zeros(3), tau=0.0, period=1.0)
+
+
+def test_kernel_refuses_nan_tau():
+    with pytest.raises(ValueError):
+        periodized_gaussian_1d(np.zeros(3), tau=float("nan"), period=1.0)
 
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-2, 1.0])
