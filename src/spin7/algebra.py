@@ -113,6 +113,8 @@ def _hodge_tables(tuples, rest):
 _SLOT4, _SIGN4, _GATHER4 = _index_maps(QUADS)
 _SLOT3, _SIGN3, _GATHER3 = _index_maps(TRIPLES)
 _SLOT2, _SIGN2, _GATHER2 = _index_maps(PAIRS)
+# where each canonical component sits in the flattened dense 4-form
+_FLAT4 = np.ravel_multi_index(_GATHER4, (8,) * 4)
 
 # gathers of the slot and pair matrices from canonical storage
 _S_SLOT = _SLOT4[:, _GATHER3[0], _GATHER3[1], _GATHER3[2]]
@@ -127,7 +129,8 @@ _HODGE_COMP, _HODGE_SIGN = _hodge_tables(QUADS, QUADS)
 
 def pack4(sigma: np.ndarray) -> np.ndarray:
     """Dense (...,8,8,8,8) -> canonical (...,70)."""
-    return sigma[..., _GATHER4[0], _GATHER4[1], _GATHER4[2], _GATHER4[3]]
+    flat = np.reshape(sigma, np.shape(sigma)[:-4] + (4096,))
+    return np.take(flat, _FLAT4, axis=-1)
 
 
 def unpack4(canon: np.ndarray) -> np.ndarray:

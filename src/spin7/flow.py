@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebra, lattice, orbit
 from .algebra import metric_from_form, pi7, pi21, unpack4, pack4
-from .heat import heat_weights
+from .heat import center_index, heat_average
 from .lattice import LatticeSpec
 
 __all__ = [
@@ -451,36 +451,35 @@ def theta_functional(states, center: tuple[int, ...], t0: float) -> np.ndarray:
         tau = t0 - st.t
         if tau <= 0:
             raise ValueError(f"state time {st.t} is not below the horizon {t0}")
-        w = heat_weights(st.spec, center, tau)
+        c = center_index(st.spec, center)
         tsq = lattice.torsion_norm_sq(evaluate(st).t_field)
-        out.append(tau * lattice.integrate(st.spec, tsq * w))
+        out.append(tau * float(heat_average(st.spec, tsq, tau)[c]))
     return np.array(out)
 
 
 def entropy(state: FlowState, sigma: float, t_samples: int = 16, x_stride: int = 1) -> float:
     """max over sampled centers and scales t in (0, sigma] of
     t * integral |T|^2 u_{(x,t)}; a lower bound that is nondecreasing
-    under sampling refinement.
+    under sampling refinement.  The centers are every x_stride-th grid
+    point per axis, the scales sigma * 2^-j for j < t_samples.
 
-    Raises ValueError when sigma is not positive, or when the smallest
-    scale sigma * 2^(1 - t_samples) underflows to 0."""
+    Raises ValueError when sigma is not positive, when t_samples or
+    x_stride is below 1, or when the smallest scale underflows to 0."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
+    if t_samples < 1 or x_stride < 1:
+        raise ValueError(f"t_samples and x_stride must be at least 1 "
+                         f"(t_samples {t_samples}, x_stride {x_stride})")
     taus = sigma * np.power(2.0, -np.arange(t_samples, dtype=float)[::-1])
     if not np.all(taus > 0):
         raise ValueError(f"the smallest scale sigma * 2^(1 - t_samples) underflows to 0 "
                          f"(sigma {sigma:g}, t_samples {t_samples})")
     spec = state.spec
     tsq = lattice.torsion_norm_sq(evaluate(state).t_field)
-    centers = np.ndindex(*(max(1, spec.points // max(1, x_stride)),) * spec.n_axes)
+    centers = (slice(0, max(1, spec.points // x_stride) * x_stride, x_stride),) * spec.n_axes
     best = 0.0
-    for cidx in centers:
-        c = tuple(i * x_stride for i in cidx)
-        for tau in taus:
-            w = heat_weights(spec, c, float(tau))
-            val = float(tau) * lattice.integrate(spec, tsq * w)
-            if val > best:
-                best = val
+    for tau in taus.tolist():
+        best = max(best, tau * float(heat_average(spec, tsq, tau)[centers].max()))
     return best
 
 

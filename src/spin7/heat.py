@@ -17,7 +17,7 @@ import numpy as np
 
 from .lattice import LatticeSpec
 
-__all__ = ["periodized_gaussian_1d", "heat_weights"]
+__all__ = ["periodized_gaussian_1d", "center_index", "heat_weights", "heat_average"]
 
 
 def periodized_gaussian_1d(d: np.ndarray, tau: float, period: float) -> np.ndarray:
@@ -26,6 +26,7 @@ def periodized_gaussian_1d(d: np.ndarray, tau: float, period: float) -> np.ndarr
     if not tau > 0:
         raise ValueError("tau must be positive")
     d = np.asarray(d, dtype=float)
+    d = d - period * np.round(d / period)    # nearest image first
     if 4.0 * tau > period**2:
         rate = 4.0 * np.pi**2 * tau / period**2
         total = np.ones_like(d)
@@ -46,18 +47,36 @@ def periodized_gaussian_1d(d: np.ndarray, tau: float, period: float) -> np.ndarr
     return total / np.sqrt(4.0 * np.pi * tau)
 
 
-def heat_weights(spec: LatticeSpec, center: tuple[int, ...], tau: float) -> np.ndarray:
-    """Grid of kernel values u(x) centered at a grid point, time-to-center tau."""
+def _kernel_rows(spec: LatticeSpec, tau: float) -> np.ndarray:
+    """(N, N) matrix of the 1-d kernel at x_i - x_c, centre c by row."""
+    x = np.arange(spec.points) * spec.spacing
+    return periodized_gaussian_1d(x[None, :] - x[:, None], tau, spec.period)
+
+
+def center_index(spec: LatticeSpec, center: tuple[int, ...]) -> tuple[int, ...]:
+    """One grid index per active axis, wrapped into [0, N)."""
     if len(center) != spec.n_axes:
         raise ValueError("center must give one grid index per active axis")
-    out = np.ones(spec.grid_shape)
-    x = np.arange(spec.points) * spec.spacing
-    for axis, c in enumerate(center):
-        w = periodized_gaussian_1d(x - x[int(c) % spec.points], tau, spec.period)
-        shape = [1] * spec.n_axes
-        shape[axis] = spec.points
-        out = out * w.reshape(shape)
+    return tuple(int(c) % spec.points for c in center)
+
+
+def heat_weights(spec: LatticeSpec, center: tuple[int, ...], tau: float) -> np.ndarray:
+    """Grid of kernel values u(x) centered at a grid point, time-to-center tau."""
+    center = center_index(spec, center)
+    rows = _kernel_rows(spec, tau)
+    out = np.ones(())
+    for c in center:
+        out = np.multiply.outer(out, rows[c])
     # inactive axes: kernel integrates to 1 per axis, contributing 1/L per
     # axis as a density on the full torus
-    out = out / spec.period ** (8 - spec.n_axes)
-    return out
+    return out / spec.period ** (8 - spec.n_axes)
+
+
+def heat_average(spec: LatticeSpec, values: np.ndarray, tau: float) -> np.ndarray:
+    """Integral of `values` against u_(c, tau) at every grid centre c, by
+    one circulant product per active axis (the kernel is translation-invariant)."""
+    rows = _kernel_rows(spec, tau)
+    for _ in range(spec.n_axes):
+        # contract the leading grid axis, append its centre axis last
+        values = np.tensordot(values, rows, axes=([0], [1]))
+    return values * (spec.cell_volume / spec.period ** (8 - spec.n_axes))

@@ -10,6 +10,7 @@ from spin7.flow import (FlowAbort, FlowConfig, convexity_gap, energy_gradient_ch
                         parabolic_rescale, quartic_terms, run_flow, soliton_residual,
                         soliton_schedule, theta_functional,
                         torsion_evolution_residual)
+from spin7.heat import heat_weights
 from spin7.lattice import LatticeSpec, div_torsion, energy, torsion
 
 
@@ -322,6 +323,59 @@ def test_entropy_invalid_sigma():
     st = initial_data("constant", {}, small_spec())
     with pytest.raises(ValueError):
         entropy(st, sigma=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"t_samples": 0}, {"t_samples": -2},
+                                    {"x_stride": 0}, {"x_stride": -1}])
+def test_entropy_refuses_empty_sampling(kwargs):
+    st = initial_data("rotation-field", {"eps": 0.05}, small_spec(), seed=1)
+    with pytest.raises(ValueError, match="at least 1"):
+        entropy(st, sigma=0.01, **kwargs)
+
+
+def _entropy_loop(state, sigma, t_samples, x_stride):
+    """Centre by centre and scale by scale, against each centre's weights."""
+    spec = state.spec
+    taus = sigma * np.power(2.0, -np.arange(t_samples, dtype=float)[::-1])
+    tsq = lattice.torsion_norm_sq(evaluate(state).t_field)
+    best = 0.0
+    for cidx in np.ndindex(*(max(1, spec.points // x_stride),) * spec.n_axes):
+        c = tuple(i * x_stride for i in cidx)
+        for tau in taus:
+            val = float(tau) * lattice.integrate(spec, tsq * heat_weights(spec, c, float(tau)))
+            best = max(best, val)
+    return best
+
+
+@pytest.mark.parametrize("axes, points, x_stride, sigma", [
+    ((0,), 64, 1, 1 / 64), ((0, 1), 16, 1, 1 / 64), ((0, 1), 16, 3, 0.01),
+    ((0, 1), 16, 32, 0.01), ((2, 5), 12, 5, 0.5), ((0, 1, 2), 8, 2, 1e-3)])
+def test_entropy_matches_the_centre_by_centre_loop(axes, points, x_stride, sigma):
+    # x_stride 3 does not divide 16: the centres are 0, 3, ..., 12 per axis
+    spec = LatticeSpec(active_axes=axes, points=points)
+    st = initial_data("random-smooth", {"eps": 0.1}, spec, seed=4)
+    got = entropy(st, sigma, t_samples=5, x_stride=x_stride)
+    want = _entropy_loop(st, sigma, 5, x_stride)
+    assert got > 0.0
+    assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_theta_refuses_a_centre_of_the_wrong_length():
+    st = initial_data("rotation-field", {"eps": 0.05}, small_spec(), seed=1)
+    for center in ((), (3, 4)):
+        with pytest.raises(ValueError, match="one grid index per active axis"):
+            theta_functional([st], center, t0=1.0)
+
+
+def test_theta_matches_the_weights_and_wraps_the_centre():
+    spec = LatticeSpec(active_axes=(0, 1), points=16)
+    st = initial_data("random-smooth", {"eps": 0.1}, spec, seed=4)
+    tsq = lattice.torsion_norm_sq(evaluate(st).t_field)
+    tau = 0.02
+    want = tau * lattice.integrate(spec, tsq * heat_weights(spec, (3, 15), tau))
+    for center in ((3, 15), (19, -1)):
+        got = theta_functional([st], center, st.t + tau)[0]
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------

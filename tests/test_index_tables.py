@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 from spin7 import algebra, orbit
-from spin7.algebra import PAIRS, QUADS, TRIPLES, unpack3, unpack4
+from spin7.algebra import PAIRS, QUADS, TRIPLES, pack4, unpack3, unpack4
+from spin7.flow import initial_data
+from spin7.lattice import LatticeSpec
 from spin7.octonion import OCT_TABLE, oct_conj
+
+
+QUADS_T = np.array(QUADS).T
 
 
 def _perm_sign(perm):
@@ -187,3 +192,13 @@ def test_unpack_gathers_are_contiguous_and_exact(lead):
     assert dense4.flags.c_contiguous and dense3.flags.c_contiguous
     assert_same(dense4, canon4[..., algebra._SLOT4] * algebra._SIGN4)
     assert_same(dense3, canon3[..., algebra._SLOT3] * algebra._SIGN3)
+    packed = pack4(dense4)
+    assert packed.flags.c_contiguous
+    assert_same(packed, dense4[..., QUADS_T[0], QUADS_T[1], QUADS_T[2], QUADS_T[3]])
+    assert_same(packed, canon4)
+
+
+def test_bryant_wave_form_is_contiguous():
+    # its phi is the one initial form that comes straight out of pack4
+    state = initial_data("bryant-wave", {}, LatticeSpec(active_axes=(0,), points=16))
+    assert state.phi.flags.c_contiguous
