@@ -310,15 +310,15 @@ def endo_split(endo: np.ndarray, phi: np.ndarray):
 # ---------------------------------------------------------------------------
 # the induced metric
 
-# The frame formula reads phi[k, a, b, c] over the ascending triples only:
-# 8 x 56 dense entries, gathered per point block by their flat offsets.
-_FRAME_READ = np.ravel_multi_index((np.arange(8)[:, None],) + _GATHER3, (8,) * 4).ravel()
-_METRIC_BLOCK = 32    # points per block, bounding the working set of metric_from_form
+# The frame formula works in the one frame of columns {e_c : c != 0}, and
+# reads phi[k, r] for every k and every ascending triple r of the columns:
+# 8 x 35 dense entries, gathered per point block by their flat offsets.
+_METRIC_BLOCK = 16    # points per block, bounding the working set of metric_from_form
 _METRIC_CONST = 7.0**3 / 6.0 ** (7.0 / 3.0)
 
 
 def _frame_tables():
-    """Index and sign tables of the frame formula on the 7 completion columns.
+    """Index and sign tables of the frame formula on the 7 columns e_1..e_7.
 
     gamma = i_w phi restricted to the columns is stored as its 35
     ascending-triple components.  Gamma[a, p] = gamma[a, p] is row a of
@@ -326,8 +326,9 @@ def _frame_tables():
     sign(p, q, r) gamma_r, r the triple left by the disjoint pairs p, q, is
     the pair matrix of *_7 gamma (21 x 21); entries with a repeated index
     read slot 0 with sign 0.  A(w) = sum_r sign(r, r') gamma_r phi_r' over
-    the complementary quadruples r'.  Per frame i, `frames[i]` holds the
-    positions in _FRAME_READ of gamma(e_k) for k = i..7 and of phi_r'.
+    the complementary quadruples r'.  `read` holds the flat offsets of
+    phi[k, r], k = 0..7, so row k of a read is gamma(e_k); `a_pos` holds the
+    positions in it of phi_r'.
     """
     triples, quads = (tuple(itertools.combinations(range(7), k)) for k in (3, 4))
     slot3, sign3, gather3 = _index_maps(triples, n=7)
@@ -340,49 +341,43 @@ def _frame_tables():
     m_slot = np.where(m_sign != 0.0, star_comp[slot4[pq]], 0)
     a_comp, a_sign = _hodge_tables(triples, quads)
     gather4 = tuple(np.array(quads)[a_comp].T)    # r' per triple r
-    frames = []
-    for i in range(8):
-        cols = np.delete(np.arange(8), i)
-        t_read = _SLOT3[tuple(cols[g] for g in gather3)]
-        w_pos = np.arange(i, 8)[:, None] * 56 + t_read
-        a_pos = cols[gather4[0]] * 56 + _SLOT3[tuple(cols[g] for g in gather4[1:])]
-        frames.append((w_pos, a_pos))
-    return g_slot, g_sign, m_slot, m_sign, a_sign, tuple(frames)
+    cols = np.arange(1, 8)
+    read = np.ravel_multi_index((np.arange(8)[:, None],) + tuple(cols[g] for g in gather3),
+                                (8,) * 4).ravel()
+    a_pos = cols[gather4[0]] * 35 + slot3[gather4[1:]]
+    return g_slot, g_sign, m_slot, m_sign, a_sign, read, a_pos
 
 
-_GAMMA_SLOT, _GAMMA_SIGN, _STAR_SLOT, _STAR_SIGN, _A_SIGN, _FRAMES = _frame_tables()
+_GAMMA_SLOT, _GAMMA_SIGN, _STAR_SLOT, _STAR_SIGN, _A_SIGN, _FRAME_READ, _A_POS = _frame_tables()
 
 
-def _g_ww(gam: np.ndarray, a_form: np.ndarray) -> np.ndarray:
-    """g(w, w) for a batch of vectors w of one frame {w, e_c : c in cols}.
-
-    gam is i_w phi on the columns, (..., 35); a_form is the signed
-    complementary-quadruple vector of phi, (..., 35), so A(w) = gam . a_form.
-    """
-    aval = np.matmul(gam[..., None, :], a_form[..., :, None])[..., 0, 0]
-    if np.any(np.abs(aval) < 1e-14):
-        raise DegenerateFormError("degenerate 4-form: frame 7-form A(v) vanishes")
+def _frame_b(gam: np.ndarray) -> np.ndarray:
+    """B = Gamma M Gamma^T (..., 7, 7) of gamma = i_w phi on the columns, (..., 35)."""
     rows = np.take(gam, _GAMMA_SLOT, axis=-1)     # Gamma
     rows *= _GAMMA_SIGN
     star = np.take(gam, _STAR_SLOT, axis=-1)      # M
     star *= _STAR_SIGN
-    det_b = np.linalg.det(rows @ star @ np.swapaxes(rows, -1, -2))
-    g_sq = -_METRIC_CONST * np.cbrt(det_b) / aval**3
-    if np.any(g_sq <= 0.0):
-        raise DegenerateFormError("degenerate 4-form: induced g(v,v)^2 not positive")
-    return np.sqrt(g_sq)
+    return rows @ star @ np.swapaxes(rows, -1, -2)
+
+
+# B(gamma(e_0)) = kappa I_7 at Phi0, so B / kappa is the G2 metric there
+_G2_CONST = float(_frame_b(PHI0.reshape(-1)[_FRAME_READ[:35]])[0, 0])
 
 
 def metric_from_form(phi: np.ndarray) -> np.ndarray:
     """Metric induced by an admissible 4-form, via frame evaluation.
 
-    Evaluates g(w,w) on the 8 coordinate vectors e_i and the 28 sums
-    e_i + e_j (i < j), each with the static completion frame {e_c : c != i}
-    (the determinant formula is frame-covariant so no orthonormalization is
-    needed), and polarizes g(u,v) = (g(u+v,u+v) - g(u,u) - g(v,v)) / 2.
-    On a frame, g(w,w)^2 = -(7^3 / 6^(7/3)) det(B)^(1/3) / A(w)^3 with
-    B = Gamma M Gamma^T (see `_frame_tables`).  The points are walked in
-    blocks of 32, and the vectors of one frame are batched.
+    Works in the one frame {w, e_1..e_7}, where on a frame
+    g(w,w)^2 = -(7^3 / 6^(7/3)) det(B)^(1/3) / A(w)^3 with B = Gamma M Gamma^T
+    (see `_frame_tables`); the formula is frame-covariant, so no
+    orthonormalization is needed.  It evaluates g(w,w) at the 15 vectors
+    e_0 and e_0 +- e_k, and polarizes g_0k = (g(e_0+e_k) - g(e_0-e_k)) / 4;
+    A(e_0 +- e_k) = A(e_0), since A of a column vector is an 8-form on the
+    7 columns.  gamma(e_0) on the columns is sqrt(g_00) times the G2 form of
+    h(u, v) = g(u, v) - g_0u g_0v / g_00, so its B gives the 7 x 7 block:
+    h = B / (kappa (det B / kappa^7)^(1/9) g_00^(1/3)), kappa = -6 the value
+    at Phi0, and g_kl = h_kl + g_0k g_0l / g_00.  The points are walked in
+    blocks of 16, and the 15 vectors of a block are batched.
 
     Raises DegenerateFormError when the input fails nondegeneracy.
     """
@@ -392,14 +387,26 @@ def metric_from_form(phi: np.ndarray) -> np.ndarray:
     for start in range(0, flat.shape[0], _METRIC_BLOCK):
         # fancy indexing reads a strided input in place; np.take would copy it whole
         read = np.ascontiguousarray(flat[start:start + _METRIC_BLOCK, _FRAME_READ])
+        gam = read.reshape(-1, 8, 35)                # gamma(e_k), k = 0..7
+        a_form = np.take(read, _A_POS, axis=-1)
+        a_form *= _A_SIGN
+        aval = np.einsum("pr,pr->p", gam[:, 0], a_form)
+        if np.any(np.abs(aval) < 1e-14):
+            raise DegenerateFormError("degenerate 4-form: frame 7-form A(v) vanishes")
+        b = _frame_b(np.concatenate([gam[:, :1], gam[:, :1] + gam[:, 1:],
+                                     gam[:, :1] - gam[:, 1:]], axis=1))
+        det_b = np.linalg.det(b)
+        g_sq = -_METRIC_CONST * np.cbrt(det_b) / aval[:, None] ** 3
+        if np.any(g_sq <= 0.0):
+            raise DegenerateFormError("degenerate 4-form: induced g(v,v)^2 not positive")
+        g_ww = np.sqrt(g_sq)
+        g00 = g_ww[:, 0, None, None]
+        g0k = 0.25 * (g_ww[:, 1:8] - g_ww[:, 8:])
+        # the real ninth root: det B changes sign with the orientation, and so must h's scale
+        scale = _G2_CONST * np.cbrt(np.cbrt(det_b[:, 0] / _G2_CONST**7))
         g_blk = g[start:start + _METRIC_BLOCK]
-        for i, (w_pos, a_pos) in enumerate(_FRAMES):
-            gam = np.take(read, w_pos, axis=-1)      # gamma(e_k), k = i..7
-            gam[:, 1:] += gam[:, :1]                 # gamma(e_i + e_k)
-            a_form = np.take(read, a_pos, axis=-1)
-            a_form *= _A_SIGN
-            g_blk[:, i, i:] = _g_ww(gam, a_form[:, None, :])
-    lo, hi = np.triu_indices(8, 1)
-    diag = np.diagonal(g, axis1=-2, axis2=-1)
-    g[:, lo, hi] = g[:, hi, lo] = 0.5 * (g[:, lo, hi] - diag[:, lo] - diag[:, hi])
+        g_blk[:, :1, :1] = g00
+        g_blk[:, 0, 1:] = g_blk[:, 1:, 0] = g0k
+        g_blk[:, 1:, 1:] = (b[:, 0] / (scale[:, None, None] * np.cbrt(g00))
+                            + g0k[:, :, None] * g0k[:, None, :] / g00)
     return g.reshape(lead + (8, 8))

@@ -247,7 +247,10 @@ def cmd_entropy(args) -> int:
 def cmd_rescale(args) -> int:
     loaded = storage.read_checkpoint(args.checkpoint)
     c = args.factor
-    new_state, report = flow.parabolic_rescale(loaded.state, c)
+    try:
+        new_state, report = flow.parabolic_rescale(loaded.state, c)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     prev, raw = loaded.prev_record, loaded.config_dict
     if prev is not None:
         # E is the integral of |T|^2 (scaling c^-2) over a volume scaling c^8
@@ -323,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     th = sub.add_parser("theta", help="localized torsion functional over checkpoints")
     th.add_argument("--checkpoint", nargs="+", required=True)
-    th.add_argument("--t0", type=float, required=True)
+    th.add_argument("--t0", type=_checked(float, "finite", lambda v: abs(v) < float("inf")),
+                    required=True)
     th.add_argument("--center", default=None, help="grid indices, comma-separated")
     th.add_argument("--out-csv", required=True)
     th.set_defaults(func=cmd_theta)

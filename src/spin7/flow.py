@@ -607,25 +607,37 @@ def parabolic_rescale(state: FlowState, c: float):
     """Rescaled state (same components on period c L, t -> c^2 t) plus the
     relative errors of T -> T/c, Div T -> Div T/c^2 and, for j = 0, 1,
     |grad^j T| -> |grad^j T|/c^(1+j); the metric c^2 g on period L is the
-    identity metric on period c L in the coordinates y = c x."""
+    identity metric on period c L in the coordinates y = c x.
+
+    Raises ValueError when c is not positive, or when it takes the rescaled
+    period or time, the factor c^6 of the energy, the factor c^-2 of the
+    divergence tolerance or an expected report value to infinity, or a
+    nonzero one to 0."""
     if not c > 0:
         raise ValueError("rescale factor must be positive")
+    t_old, div_old = evaluate(state)
+    gt_old = lattice.fd_gradient_generic(state.spec, t_old)
+    # value and power p of everything the factor scales by c^-p: the report's
+    # expectations, the period, the time, the energy and the divergence tolerance
+    scaled = {"torsion_scaling": (t_old, 1), "divergence_scaling": (div_old, 2),
+              "norm_scaling_j0": (np.linalg.norm(t_old), 1),
+              "norm_scaling_j1": (np.linalg.norm(gt_old), 2),
+              "period": (state.spec.period, -1), "time": (state.t, -2),
+              "energy": (1.0, -6), "divergence tolerance": (1.0, 2)}
+    with np.errstate(all="ignore"):
+        expected = {key: val / np.float64(c) ** power for key, (val, power) in scaled.items()}
+    for key, (val, _) in scaled.items():
+        if not np.all(np.isfinite(expected[key]) & ((expected[key] != 0) | (val == 0))):
+            raise ValueError(f"rescale factor {c:g} takes the {key} out of floating-point range")
     new = FlowState(spec=replace(state.spec, period=c * state.spec.period),
                     phi=state.phi, t=c * c * state.t, step=state.step)
-    t_old, div_old = evaluate(state)
     t_new, div_new = evaluate(new)
-    gt_old = lattice.fd_gradient_generic(state.spec, t_old)
     gt_new = lattice.fd_gradient_generic(new.spec, t_new)
 
-    def rel_err(new_val, old_val, power):
-        expected = old_val / c**power
-        scale = max(float(np.abs(expected).max()), 1e-300)
-        return float(np.abs(new_val - expected).max()) / scale
-
-    report = {
-        "torsion_scaling": rel_err(t_new, t_old, 1),
-        "divergence_scaling": rel_err(div_new, div_old, 2),
-        "norm_scaling_j0": rel_err(np.linalg.norm(t_new), np.linalg.norm(t_old), 1),
-        "norm_scaling_j1": rel_err(np.linalg.norm(gt_new), np.linalg.norm(gt_old), 2),
-    }
+    report = {}
+    for key, new_val in (("torsion_scaling", t_new), ("divergence_scaling", div_new),
+                         ("norm_scaling_j0", np.linalg.norm(t_new)),
+                         ("norm_scaling_j1", np.linalg.norm(gt_new))):
+        scale = max(float(np.abs(expected[key]).max()), 1e-300)
+        report[key] = float(np.abs(new_val - expected[key]).max()) / scale
     return new, report

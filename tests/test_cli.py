@@ -322,6 +322,8 @@ def test_soliton_check_on_rescaled_checkpoint(full_run, tmp_path):
     ["entropy", "--sigma", "0.01", "--x-stride", "0"],
     ["rescale", "--factor", "0", "--out-checkpoint", "{tmp}/r.s7fl"],
     ["rescale", "--factor", "nan", "--out-checkpoint", "{tmp}/r.s7fl"],
+    ["rescale", "--factor", "1e200", "--out-checkpoint", "{tmp}/r.s7fl"],
+    ["rescale", "--factor", "1e-200", "--out-checkpoint", "{tmp}/r.s7fl"],
     ["theta", "--t0", "{t}"],
     ["theta", "--t0", "0"],
     ["theta", "--t0", "1.0", "--center", "a"],
@@ -329,10 +331,12 @@ def test_soliton_check_on_rescaled_checkpoint(full_run, tmp_path):
     ["theta", "--t0", "1.0", "--center", "-1"],
     ["soliton-check", "--x-seed", "-1"],
     ["entropy", "--sigma", "0.01", "--t-samples", "2000"],
+    ["theta", "--t0", "inf"],
 ], ids=["entropy-sigma", "entropy-t-samples", "entropy-x-stride", "rescale-factor-0",
-        "rescale-factor-nan", "theta-t0-at-state", "theta-t0-below-state",
+        "rescale-factor-nan", "rescale-factor-overflow", "rescale-factor-underflow",
+        "theta-t0-at-state", "theta-t0-below-state",
         "theta-center", "theta-center-out-of-range", "theta-center-negative",
-        "soliton-x-seed-negative", "entropy-scale-underflow"])
+        "soliton-x-seed-negative", "entropy-scale-underflow", "theta-t0-inf"])
 def test_bad_arguments_exit_2(full_run, tmp_path, args):
     ck = str(full_run / "ckpt_00000040.s7fl")
     t = repr(read_checkpoint(ck).state.t)

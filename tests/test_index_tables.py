@@ -72,17 +72,12 @@ def _frame_oracle():
                 m_sign[p, q] = _perm_sign(pp + qq + r)
     quads = [tuple(x for x in range(7) if x not in r) for r in triples]
     a_sign = np.array([float(_perm_sign(r + q)) for r, q in zip(triples, quads)])
-    read_pos = {(k,) + t: n for n, (k, t) in enumerate(itertools.product(range(8), TRIPLES))}
-    frames = []
-    for i in range(8):
-        cols = [c for c in range(8) if c != i]
-        w_pos = [[read_pos[(k,) + tuple(cols[x] for x in r)] for r in triples]
-                 for k in range(i, 8)]
-        a_pos = [read_pos[tuple(cols[x] for x in q)] for q in quads]
-        frames.append((np.array(w_pos), np.array(a_pos)))
-    frame_read = np.array([((k * 8 + a) * 8 + b) * 8 + c
-                           for k in range(8) for a, b, c in TRIPLES])
-    return g_slot, g_sign, m_slot, m_sign, a_sign, tuple(frames), frame_read
+    cols = range(1, 8)
+    read = [(k,) + tuple(cols[x] for x in r) for k in range(8) for r in triples]
+    read_pos = {entry: n for n, entry in enumerate(read)}
+    frame_read = np.array([((k * 8 + a) * 8 + b) * 8 + c for k, a, b, c in read])
+    a_pos = np.array([read_pos[tuple(cols[x] for x in q)] for q in quads])
+    return g_slot, g_sign, m_slot, m_sign, a_sign, frame_read, a_pos
 
 
 def _cayley_oracle(table):
@@ -145,17 +140,14 @@ def test_hodge_tables_match_the_oracle():
 
 
 def test_frame_tables_match_the_oracle():
-    g_slot, g_sign, m_slot, m_sign, a_sign, frames, frame_read = _frame_oracle()
+    g_slot, g_sign, m_slot, m_sign, a_sign, frame_read, a_pos = _frame_oracle()
     assert_same(algebra._GAMMA_SLOT, g_slot)
     assert_same(algebra._GAMMA_SIGN, g_sign)
     assert_same(algebra._STAR_SLOT, m_slot)
     assert_same(algebra._STAR_SIGN, m_sign)
     assert_same(algebra._A_SIGN, a_sign)
     assert_same(algebra._FRAME_READ, frame_read)
-    assert len(algebra._FRAMES) == len(frames) == 8
-    for (w_pos, a_pos), (w_ref, a_ref) in zip(algebra._FRAMES, frames):
-        assert_same(w_pos, w_ref)
-        assert_same(a_pos, a_ref)
+    assert_same(algebra._A_POS, a_pos)
 
 
 def test_pair_matrix_scatter_matches_the_oracle():

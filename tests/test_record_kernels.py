@@ -1,11 +1,15 @@
 """The diagnostics-record kernels against their references.
 
 `metric_from_form` evaluates the frame formula as B = Gamma M Gamma^T on
-35 stored components, in blocks of 32 points; the frame-by-frame
-shuffle-einsum code it replaced lives on here as an oracle.  The Bianchi
-and Ricci residuals work on the active m-slices only; their full 8-slot
-einsums are the oracles.  Every comparison uses the tolerance
-1e-13 * max(1, max|reference|).
+35 stored components, at the 15 vectors e_0, e_0 +- e_k of the one frame
+{e_1..e_7}, in blocks of 16 points, and reads the 7 x 7 block off the B of
+e_0.  Two codes it replaced live on here as oracles: the blocked
+evaluation at the 36 vectors e_i, e_i + e_j over eight completion frames,
+and the frame-by-frame shuffle einsum before it.  Off the orbit the
+one-frame metric is first order in the 1-, 27- and 35-summands and
+second order along the tangent 7-summand.  The Bianchi and Ricci residuals
+work on the active m-slices only; their full 8-slot einsums are the
+oracles.  Every comparison uses the tolerance 1e-13 * max(1, max|reference|).
 """
 
 import itertools
@@ -14,8 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spin7 import lattice
-from spin7.algebra import PHI0, DegenerateFormError, metric_from_form, unpack4
+from spin7 import algebra, lattice
+from spin7.algebra import PHI0, DegenerateFormError, decompose4, metric_from_form, unpack4
 from spin7.flow import initial_data
 from spin7.lattice import LatticeSpec
 from spin7.orbit import rotate_form
@@ -94,6 +98,35 @@ def frame_metric(phi):
     return g
 
 
+TRIPLES7 = np.array(list(itertools.combinations(range(7), 3))).T
+QUADS7 = np.array([[x for x in range(7) if x not in r] for r in TRIPLES7.T]).T
+QUAD_SIGNS = np.array([_perm_sign(tuple(r) + tuple(q)) for r, q in zip(TRIPLES7.T, QUADS7.T)],
+                      dtype=np.float64)
+
+
+def eight_frame_metric(phi):
+    """The blocked eight-frame metric: g(w,w) at e_i and e_i + e_j (i < j), each
+    in the completion frame {e_c : c != i}, 32 points at a time, then
+    g(u,v) = (g(u+v,u+v) - g(u,u) - g(v,v)) / 2."""
+    flat = phi.reshape((-1,) + (8,) * 4)
+    g = np.empty((flat.shape[0], 8, 8))
+    for start in range(0, flat.shape[0], 32):
+        blk = flat[start:start + 32]
+        for i in range(8):
+            cols = np.delete(np.arange(8), i)
+            t, q = cols[TRIPLES7], cols[QUADS7]
+            gam = blk[:, i:, t[0], t[1], t[2]]                 # gamma(e_k), k = i..7
+            gam[:, 1:] += gam[:, :1]                           # gamma(e_i + e_k)
+            aval = gam @ (QUAD_SIGNS * blk[:, q[0], q[1], q[2], q[3]])[:, :, None]
+            det_b = np.linalg.det(algebra._frame_b(gam))
+            g_sq = -(7.0**3 / 6.0 ** (7.0 / 3.0)) * np.cbrt(det_b) / aval[..., 0] ** 3
+            g[start:start + 32, i, i:] = np.sqrt(g_sq)
+    lo, hi = np.triu_indices(8, 1)
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    g[:, lo, hi] = g[:, hi, lo] = 0.5 * (g[:, lo, hi] - diag[:, lo] - diag[:, hi])
+    return g.reshape(phi.shape[:-4] + (8, 8))
+
+
 def einsum_bianchi(spec, t_field):
     gt = lattice.fd_gradient_embedded(spec, t_field)
     quad = np.einsum("...iam,...jmb->...ijab", t_field, t_field)
@@ -131,9 +164,26 @@ def orbit_forms(count, seed=2):
     return initial_data("random-smooth", {"eps": 0.4}, spec, seed=seed).phi_dense()[:count]
 
 
+def gl_minus(rng, count):
+    a = gl_plus(rng, count)
+    a[:, 0] *= -1.0
+    return a
+
+
 def test_metric_matches_frame_oracle(rng):
-    forms = np.concatenate([orbit_forms(8), pulled_back(gl_plus(rng, 8)), PHI0[None]])
-    assert_matches(metric_from_form(forms), frame_metric(forms))
+    forms = np.concatenate([orbit_forms(8), pulled_back(gl_plus(rng, 8)),
+                            pulled_back(gl_minus(rng, 4)), PHI0[None], 1.7**4 * PHI0[None]])
+    g = metric_from_form(forms)
+    assert_matches(g, eight_frame_metric(forms))
+    assert_matches(g, frame_metric(forms))
+
+
+def test_kappa_is_the_g2_constant_of_phi0():
+    """B(gamma(e_0)) = -6 I_7 exactly at Phi0, and the module pins kappa from it."""
+    gam = PHI0[0][np.arange(1, 8)[:, None, None], np.arange(1, 8)[:, None], np.arange(1, 8)]
+    b = algebra._frame_b(gam[TRIPLES7[0], TRIPLES7[1], TRIPLES7[2]])
+    assert np.array_equal(b, -6.0 * np.eye(7))
+    assert algebra._G2_CONST == -6.0
 
 
 def test_metric_of_pulled_back_form_is_gram_matrix(rng):
@@ -142,7 +192,44 @@ def test_metric_of_pulled_back_form_is_gram_matrix(rng):
     assert_matches(metric_from_form(pulled_back(a)), np.swapaxes(a, -1, -2) @ a)
 
 
-@pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
+def test_metric_of_orientation_reversing_pullback_is_gram_matrix(rng):
+    """det A < 0 flips both A(w)^3 and det(B)^(1/3), so g stays A^T A; -phi
+    flips det(B) alone, so it induces no metric."""
+    a = gl_minus(rng, 40)
+    assert np.all(np.linalg.det(a) < 0)
+    assert_matches(metric_from_form(pulled_back(a)), np.swapaxes(a, -1, -2) @ a)
+    with pytest.raises(DegenerateFormError, match="not positive"):
+        metric_from_form(-pulled_back(a))
+
+
+@pytest.mark.parametrize("perm", [(1, 0, 2, 3, 4, 5, 6, 7), (7, 0, 1, 2, 3, 4, 5, 6),
+                                  (3, 5, 0, 7, 1, 6, 2, 4), (6, 2, 7, 5, 0, 1, 4, 3)])
+def test_metric_is_permutation_covariant(perm, rng):
+    """With P e_i = e_perm[i], g(P^* phi) = P^T g(phi) P: the frame formula
+    singles out e_0, and each perm moves it."""
+    p = np.array(perm)
+    forms = pulled_back(gl_plus(rng, 12))
+    permuted = forms[:, p[:, None, None, None], p[:, None, None], p[:, None], p]
+    g = metric_from_form(forms)
+    assert_matches(metric_from_form(permuted), g[:, p[:, None], p])
+
+
+@pytest.mark.parametrize("dim, order", [(1, 1), (7, 2), (27, 1), (35, 1)])
+def test_metric_drift_order_per_summand(dim, order, rng):
+    """At Phi0 + eps sigma, sigma in one summand, the drift |g - I| is first
+    order in the 1- and 35-summands (true metric changes) and in a 27
+    direction (off the GL(8)-orbit), and second order along the 7-summand,
+    which is tangent to the orbit of rotations."""
+    basis = unpack4(np.eye(70))
+    part = decompose4(basis, PHI0)[(1, 7, 27, 35).index(dim)]
+    sigma = np.einsum("n,n...->...", rng.standard_normal(70), part)
+    sigma /= np.abs(sigma).max()
+    drift = [float(np.abs(metric_from_form(PHI0 + eps * sigma) - np.eye(8)).max())
+             for eps in (1e-4, 1e-5)]
+    assert drift[0] / drift[1] == pytest.approx(10.0**order, rel=0.05)
+
+
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 31, 32, 33, 65])
 def test_metric_across_block_edges(count, rng):
     forms = pulled_back(gl_plus(rng, count))
     g = metric_from_form(forms)
