@@ -22,7 +22,7 @@ def orders(errs):
 
 def reconstruction_error(spec, state):
     phi_d = state.phi_dense()
-    tm = torsion(spec, state.phi)[..., spec.active_axes[0], :, :]
+    tm = torsion(spec, state.phi)[..., 0, :, :]     # slice 0: the first active axis
     grad = unpack4(fd_gradient_generic(spec, state.phi))[..., 0, :, :, :, :]
     recon = (np.einsum("...ip,...pjkl->...ijkl", tm, phi_d)
              + np.einsum("...jp,...ipkl->...ijkl", tm, phi_d)

@@ -75,12 +75,7 @@ PAIRS = tuple(itertools.combinations(range(8), 2))     # 28 ascending pairs
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def _index_maps(tuples, n=8):

@@ -44,7 +44,7 @@ import numpy as np  # noqa: E402
 
 from . import flow, storage, verify  # noqa: E402
 from .flow import FlowAbort, FlowConfig  # noqa: E402
-from .lattice import LatticeSpec  # noqa: E402
+from .lattice import LatticeSpec, as_number  # noqa: E402
 
 
 class ConfigError(ValueError):
@@ -54,8 +54,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing (strict: unknown keys are errors)
 
-# How each optional key FlowConfig takes is coerced.  FlowConfig holds every
-# default, and a null t_end or max_steps stays None.
+# How each optional key FlowConfig takes is read, numbers by `as_number`.
+# FlowConfig holds every default, and a null t_end or max_steps stays None.
 _COERCE = {"cfl": float, "t_end": float, "max_steps": int, "diag_cadence": int,
            "checkpoint_cadence": int, "div_tol": float, "blowup_factor": float}
 _INITIAL_COERCE = {"family": lambda v: v, "params": dict, "seed": int}
@@ -91,10 +91,10 @@ def parse_config(config_dict: dict) -> FlowConfig:
         raise ConfigError(f"unknown integrator {integrator!r}: only 'lie-euler' is "
                           "supported (the Euler integrator was removed)")
     try:
-        kwargs = {key: None if root[key] is None else kind(root[key])
+        kwargs = {key: None if root[key] is None else as_number(kind, root[key], key)
                   for key, kind in _COERCE.items() if key in root}
-        kwargs.update((key, kind(init[key])) for key, kind in _INITIAL_COERCE.items()
-                      if key in init)
+        kwargs.update((key, as_number(kind, init[key], key) if kind is int else kind(init[key]))
+                      for key, kind in _INITIAL_COERCE.items() if key in init)
         return FlowConfig(spec=spec, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))

@@ -20,7 +20,7 @@ import numpy as np
 from . import algebra, lattice, orbit
 from .algebra import metric_from_form, pi7, pi21, unpack4, pack4
 from .heat import center_index, heat_average
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, as_number
 
 __all__ = [
     "FlowState",
@@ -142,15 +142,18 @@ def _pi7_unit_generator(rng: np.random.Generator) -> np.ndarray:
 def _profile(spec: LatticeSpec, kind: str, params: dict):
     """Periodic scalar profile theta(x) on the grid."""
     xs = lattice.grid_coordinates(spec)
-    eps = float(params.get("eps", 0.05))
+    eps = as_number(float, params.get("eps", 0.05), "eps")
     l = spec.period
     if kind == "sine":
-        axis = int(params.get("axis", 0))
-        mode = int(params.get("mode", 1))
+        axis = as_number(int, params.get("axis", 0), "axis")     # an active-axis index
+        if not 0 <= axis < spec.n_axes:
+            raise ValueError(f"axis must lie in [0, {spec.n_axes}), got {axis}")
+        mode = as_number(int, params.get("mode", 1), "mode")
         return eps * np.sin(2.0 * np.pi * mode * xs[axis] / l)
     if kind == "bump":
-        width = float(params.get("width", l / 16.0))
-        centers = params.get("center", [l / 2.0] * spec.n_axes)
+        width = as_number(float, params.get("width", l / 16.0), "width")
+        centers = [as_number(float, c, "center")
+                   for c in params.get("center", [l / 2.0] * spec.n_axes)]
         if len(centers) != spec.n_axes:
             raise ValueError(f"bump center needs {spec.n_axes} coordinates, one per "
                              f"active axis, got {len(centers)}")
@@ -202,20 +205,18 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
         rot = orbit.so8_exp(theta[..., None, None] * gen)
         phi = orbit.rotate_form(rot, phi0c)
     elif family == "bryant-wave":
-        eps = float(params.get("eps", 0.5))
-        axis = int(params.get("axis", 0))
         u = rng.standard_normal(8)
         u[0] = 0.0
         u /= np.linalg.norm(u)
-        x = lattice.grid_coordinates(spec)[axis]
-        s = eps * np.sin(2.0 * np.pi * x / spec.period)
+        # the sphere angle is the mode-1 sine profile, with its own eps default
+        s = _profile(spec, "sine", {"eps": 0.5, **params})
         f = np.cos(s)
         xvec = np.sin(s)[..., None] * u
         phi = pack4(orbit.bryant_form(f, xvec))
     elif family == "random-smooth":
-        eps = float(params.get("eps", 0.05))
-        kmax = int(params.get("kmax", 2))
-        n_gen = int(params.get("n_generators", 3))
+        eps = as_number(float, params.get("eps", 0.05), "eps")
+        kmax = as_number(int, params.get("kmax", 2), "kmax")
+        n_gen = as_number(int, params.get("n_generators", 3), "n_generators")
         xs = lattice.grid_coordinates(spec)
         a_field = np.zeros(spec.grid_shape + (8, 8))
         for _ in range(n_gen):
@@ -237,7 +238,7 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
 class Evaluation(NamedTuple):
     """What the step, the record and the checks read of one state."""
 
-    t_field: np.ndarray    # torsion, grid + (8, 8, 8)
+    t_field: np.ndarray    # torsion on the active axes, grid + (n_axes, 8, 8)
     gen: np.ndarray        # update generator pi7(Div T), grid + (8, 8)
 
 
@@ -553,7 +554,8 @@ def soliton_residual(state: FlowState, x_field: np.ndarray) -> float:
     x_field is a vector field on the grid, shape grid_shape + (8,).
     """
     ev = evaluate(state)
-    x_hook_t = np.einsum("...m,...mab->...ab", x_field, ev.t_field)
+    x_active = np.take(x_field, state.spec.active_axes, axis=-1)   # T_m = 0 off them
+    x_hook_t = np.einsum("...m,...mab->...ab", x_active, ev.t_field)
     gx = lattice.fd_gradient_embedded(state.spec, x_field)
     skew = 0.5 * (gx - np.swapaxes(gx, -1, -2))
     nabla7 = pi7(skew, state.phi)

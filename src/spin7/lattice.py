@@ -3,7 +3,9 @@
 A lattice discretizes a subset of the eight torus directions (the active
 axes); fields are constant along the rest.  Grid arrays carry one leading
 axis per active axis, then the tensor axes, e.g. a 4-form field is
-(N, ..., N, 70) canonical, the storage every function here takes.
+(N, ..., N, 70) canonical, the storage every function here takes.  An axis
+indexed by lattice direction (a derivative, the torsion's m-slot) holds the
+active axes only, in `active_axes` order; the rest are zero, not stored.
 
 Torsion and the curvature-identity residuals follow the coordinate
 expressions valid on the flat torus, where the connection is plain
@@ -18,6 +20,7 @@ for a fixed shape.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,7 @@ import numpy as np
 from .algebra import pi21, slot_matrix, unpack4  # noqa: F401
 
 __all__ = [
+    "as_number",
     "LatticeSpec",
     "fd_gradient_generic",
     "fd_gradient_embedded",
@@ -46,6 +50,15 @@ __all__ = [
 ]
 
 
+def as_number(kind: type, value, what: str):
+    """A config or header number as `kind` (int or float): ValueError for a
+    bool, a string and, for int, a fraction, which int() would truncate."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or kind is int
+            and not isinstance(value, numbers.Integral) and not float(value).is_integer()):
+        raise ValueError(f"{what}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Grid over a subset of the eight torus axes.
@@ -61,8 +74,10 @@ class LatticeSpec:
     stencil_order: int = 2
 
     def __post_init__(self):
-        axes = tuple(self.active_axes)
+        axes = tuple(as_number(int, a, "active axis") for a in self.active_axes)
         object.__setattr__(self, "active_axes", axes)
+        for name in ("points", "stencil_order"):
+            object.__setattr__(self, name, as_number(int, getattr(self, name), name))
         if not axes or any(a < 0 or a > 7 for a in axes) or list(axes) != sorted(set(axes)):
             raise ValueError(f"active_axes must be ascending distinct axes in 0..7, got {axes}")
         if self.stencil_order not in (2, 4):
@@ -105,10 +120,10 @@ class LatticeSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "LatticeSpec":
         return cls(
-            active_axes=tuple(a - 1 for a in d["active_axes"]),
-            points=int(d["points"]),
-            period=float(d["period"]),
-            stencil_order=int(d.get("stencil_order", 2)),
+            active_axes=tuple(as_number(int, a, "active axis") - 1 for a in d["active_axes"]),
+            points=d["points"],
+            period=as_number(float, d["period"], "period"),
+            stencil_order=d.get("stencil_order", 2),
         )
 
 
@@ -154,15 +169,9 @@ def fd_laplacian(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
 
 def _embed_m_axis(spec: LatticeSpec, compact: np.ndarray, position: int) -> np.ndarray:
     """Scatter an (..., n_axes, ...) array into (..., 8, ...) with zeros."""
-    shape = list(compact.shape)
-    shape[position] = 8
-    out = np.zeros(shape, dtype=compact.dtype)
-    idx = [slice(None)] * len(shape)
-    for i, ax in enumerate(spec.active_axes):
-        idx[position] = ax
-        src = [slice(None)] * len(shape)
-        src[position] = i
-        out[tuple(idx)] = compact[tuple(src)]
+    out = np.zeros(compact.shape[:position] + (8,) + compact.shape[position + 1:],
+                   dtype=compact.dtype)
+    np.moveaxis(out, position, 0)[list(spec.active_axes)] = np.moveaxis(compact, position, 0)
     return out
 
 
@@ -173,19 +182,18 @@ def fd_gradient_embedded(spec: LatticeSpec, values: np.ndarray) -> np.ndarray:
 
 
 def torsion(spec: LatticeSpec, phi_canon: np.ndarray) -> np.ndarray:
-    """Full torsion field T[..., m, a, b], skew-symmetrized in (a, b).
+    """Torsion field T[..., i, a, b], skew in (a, b): slice i is T_m on the
+    active axis m = spec.active_axes[i]; T_m = 0 off them is not stored.
 
     T_m = (1/96) (d_m phi . phi), contracted over three slots.  The full
     contraction is 6 times the sum over ascending triples, one product of
-    slot matrices S(d_m phi) S(phi)^T per point and axis.  Inactive
-    m-slices are zero.
+    slot matrices S(d_m phi) S(phi)^T per point and axis.
     """
     s_grad = slot_matrix(fd_gradient_generic(spec, phi_canon))    # grid + (k, 8, 56)
     s_phi = slot_matrix(phi_canon)[..., None, :, :]                # grid + (1, 8, 56)
     raw = np.matmul(s_grad, np.swapaxes(s_phi, -1, -2))
     # 0.5 * 6 / 96 = 1/32, a power of two
-    raw = (raw - np.swapaxes(raw, -1, -2)) / 32.0
-    return _embed_m_axis(spec, raw, raw.ndim - 3)
+    return (raw - np.swapaxes(raw, -1, -2)) / 32.0
 
 
 def div_torsion(spec: LatticeSpec, t_field: np.ndarray) -> np.ndarray:
@@ -194,10 +202,9 @@ def div_torsion(spec: LatticeSpec, t_field: np.ndarray) -> np.ndarray:
     The flow's update generator is its pointwise pi7 part (`flow.evaluate`).
     """
     h, order = spec.spacing, spec.stencil_order
-    out = None
-    for grid_axis, m_slot in enumerate(spec.active_axes):
-        term = _d1(t_field[..., m_slot, :, :], grid_axis, h, order)
-        out = term if out is None else out + term
+    out = _d1(t_field[..., 0, :, :], 0, h, order)
+    for i in range(1, spec.n_axes):
+        out = out + _d1(t_field[..., i, :, :], i, h, order)
     return out
 
 
@@ -227,12 +234,6 @@ def omega21_defect(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray
     return float(np.sqrt(np.max(np.sum(defect * defect, axis=(-1, -2)))))
 
 
-def _active_slices(spec: LatticeSpec, t_field: np.ndarray) -> np.ndarray:
-    """The m-slices T_i on the active axes, grid + (k, 8, 8); the inactive
-    slices, and every derivative along an inactive axis, are exactly zero."""
-    return np.take(t_field, spec.active_axes, axis=-3)
-
-
 def bianchi_residual(spec: LatticeSpec, t_field: np.ndarray) -> float:
     """Flat-torus residual of the first-order torsion identity.
 
@@ -242,9 +243,8 @@ def bianchi_residual(spec: LatticeSpec, t_field: np.ndarray) -> float:
     this is O(h^p) on smooth admissible fields.  Returns the max norm.
     res_ij is zero when i or j is inactive, so only active pairs are formed.
     """
-    tk = _active_slices(spec, t_field)
-    gt = fd_gradient_generic(spec, tk)                                  # [i, j] = d_i T_j
-    quad = np.matmul(tk[..., :, None, :, :], tk[..., None, :, :, :])    # [i, j] = T_i T_j
+    gt = fd_gradient_generic(spec, t_field)                         # [i, j] = d_i T_j
+    quad = np.matmul(t_field[..., :, None, :, :], t_field[..., None, :, :, :])  # [i, j] = T_i T_j
     res = gt - np.swapaxes(gt, -4, -3) - 2.0 * quad + 2.0 * np.swapaxes(quad, -4, -3)
     return float(np.abs(res).max())
 
@@ -257,13 +257,12 @@ def ricci_residual(spec: LatticeSpec, t_field: np.ndarray,
              + 8 T_{a;jb} T_{i;ba};  O(h^p) on smooth admissible fields.
     Rows i on inactive axes are zero, and a runs over the active axes only.
     """
-    tk = _active_slices(spec, t_field)
-    cols = np.take(tk, spec.active_axes, axis=-1)     # [i, j, a] = T_{i;ja}
-    gc = fd_gradient_generic(spec, cols)             # [d, i, j, a] = d_d T_{i;ja}
+    cols = np.take(t_field, spec.active_axes, axis=-1)    # [i, j, a] = T_{i;ja}
+    gc = fd_gradient_generic(spec, cols)                 # [d, i, j, a] = d_d T_{i;ja}
     res = (4.0 * np.einsum("...iaja->...ij", gc)
            - 4.0 * np.einsum("...aija->...ij", gc)
-           - 8.0 * np.einsum("...ijb,...aba->...ij", tk, cols)
-           + 8.0 * np.einsum("...ajb,...iba->...ij", tk, cols))
+           - 8.0 * np.einsum("...ijb,...aba->...ij", t_field, cols)
+           + 8.0 * np.einsum("...ajb,...iba->...ij", t_field, cols))
     res = _embed_m_axis(spec, res, res.ndim - 2)
     if return_field:
         return res
@@ -284,7 +283,9 @@ def scalar_residual(spec: LatticeSpec, t_field: np.ndarray) -> float:
 
 
 def scalar_residual_printed(spec: LatticeSpec, t_field: np.ndarray) -> float:
-    """The |T|^2 variant of the scalar residual; O(1), does not decay."""
+    """The |T|^2 variant of the scalar residual; O(1), does not decay.  It pairs
+    the m-slot with a form index, so it reads T embedded to all eight slots."""
+    t_field = _embed_m_axis(spec, t_field, t_field.ndim - 3)
     gt = fd_gradient_embedded(spec, t_field)
     res = (4.0 * np.einsum("...iaia->...", gt)
            - 4.0 * np.einsum("...aiia->...", gt)

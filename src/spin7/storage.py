@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import DIAG_COLUMNS, DiagRecord, FlowState
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, as_number
 
 __all__ = [
     "MAGIC",
@@ -105,7 +105,7 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
         if not isinstance(header, dict):
             raise TypeError("header is not a JSON object")
         spec = LatticeSpec.from_dict(header["lattice"])
-        t, step = float(header["t"]), int(header["step"])
+        t, step = as_number(float, header["t"], "t"), as_number(int, header["step"], "step")
         if float(header.get("metric_scale", 1.0)) != 1.0:
             # a legacy conformal factor: rescaled states now live on a larger period
             raise ValueError("metric_scale is no longer read; re-run `spin7 rescale` "

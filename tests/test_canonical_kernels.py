@@ -74,7 +74,9 @@ def test_torsion_matches_dense_reference(name, rng):
     on_orbit = initial_data("random-smooth", {"eps": 0.3}, spec, seed=2).phi
     noise = rng.standard_normal(spec.grid_shape + (70,))
     for phi in (on_orbit, noise):
-        assert_matches(lattice.torsion(spec, phi), dense_torsion(spec, phi))
+        t = lattice.torsion(spec, phi)
+        assert t.shape == spec.grid_shape + (spec.n_axes, 8, 8)
+        assert_matches(lattice._embed_m_axis(spec, t, t.ndim - 3), dense_torsion(spec, phi))
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

@@ -141,11 +141,30 @@ def _initial(family="rotation-field", **params):
     {"initial": 5},
     {"lattice": 5},
     {"initial": {"family": "rotation-field", "params": [["eps", 0.1]], "seed": 1}},
+    {"lattice": dict(SMALL_CONFIG["lattice"], active_axes=[1.5])},
+    {"lattice": dict(SMALL_CONFIG["lattice"], active_axes=[True])},
+    {"lattice": dict(SMALL_CONFIG["lattice"], points=16.5)},
+    {"max_steps": True},
+    {"max_steps": 2.7},
+    {"diag_cadence": 2.5},
+    {"checkpoint_cadence": True},
+    {"cfl": "0.1"},
+    {"cfl": True},
+    {"initial": {"family": "rotation-field", "params": {"eps": 0.05}, "seed": 1.5}},
+    _initial(axis=-1),
+    _initial(axis=0.5),
+    _initial("bryant-wave", axis=-1),
+    _initial(eps="0.05"),
+    _initial(profile="bump", center=[True]),
 ], ids=["family", "profile", "eps-text", "eps-list", "axis", "integrator-euler",
         "integrator-rk4", "params-unknown-key", "params-constant", "checkpoint-cadence",
         "max-steps", "blowup-negative", "blowup-inf", "t-end-nan", "t-end-negative",
         "div-tol-nan", "div-tol-negative", "bump-center-long", "bump-center-short",
-        "initial-list", "initial-number", "lattice-number", "params-list"])
+        "initial-list", "initial-number", "lattice-number", "params-list",
+        "axes-fraction", "axes-bool", "points-fraction", "max-steps-bool",
+        "max-steps-fraction", "diag-cadence-fraction", "checkpoint-cadence-bool",
+        "cfl-text", "cfl-bool", "seed-fraction", "axis-negative", "axis-fraction",
+        "bryant-axis-negative", "eps-numeric-text", "bump-center-bool"])
 def test_bad_config_exits_2_before_the_run(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "o"

@@ -447,6 +447,21 @@ def test_soliton_residual_negative_control():
     assert soliton_residual(st, x) > 3 * zero_res
 
 
+@pytest.mark.parametrize("axes", [(1, 4), (0, 2, 7)])
+def test_soliton_residual_matches_eight_slot_formula(axes, rng):
+    """X . T over the stored slices equals the contraction with the torsion
+    embedded to eight slots, for X random on all eight components."""
+    spec = LatticeSpec(active_axes=axes, points=6)
+    st = initial_data("random-smooth", {"eps": 0.2}, spec, seed=5)
+    x = rng.standard_normal(spec.grid_shape + (8,))
+    ev = evaluate(st)
+    t8 = lattice._embed_m_axis(spec, ev.t_field, ev.t_field.ndim - 3)
+    gx = lattice.fd_gradient_embedded(spec, x)
+    ref = ev.gen - np.einsum("...m,...mab->...ab", x, t8) - pi7(
+        0.5 * (gx - np.swapaxes(gx, -1, -2)), st.phi)
+    assert soliton_residual(st, x) == pytest.approx(float(np.abs(ref).max()), rel=1e-13)
+
+
 def test_soliton_residual_decreases_along_flow():
     spec = small_spec(32)
     cfg = FlowConfig(spec=spec, family="rotation-field", params={"eps": 0.05}, seed=1,

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from spin7.algebra import PHI0, pack4, pi7, pi21, unpack4
-from spin7.flow import initial_data
-from spin7.lattice import (LatticeSpec, bianchi_residual, div_torsion, energy,
-                           fd_gradient_generic, fd_laplacian, grid_coordinates,
+from spin7.flow import (diagnostics, entropy, evaluate, flow_step, initial_data,
+                        parabolic_rescale, theta_functional)
+from spin7.lattice import (LatticeSpec, _embed_m_axis, bianchi_residual, div_torsion,
+                           energy, fd_gradient_generic, fd_laplacian, grid_coordinates,
                            integrate, max_torsion, omega21_defect, ricci_residual,
                            scalar_residual, scalar_residual_printed, torsion)
 from spin7.orbit import rotate_form, so8_exp
@@ -33,6 +34,27 @@ def test_spec_validation():
         LatticeSpec(active_axes=(0,), points=6, stencil_order=4)
     with pytest.raises(ValueError):
         LatticeSpec(active_axes=(0,), points=8, period=-1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"active_axes": (0.5,)}, {"active_axes": (True,)}, {"active_axes": ("1",)},
+    {"points": 8.5}, {"points": True}, {"points": "8"},
+    {"stencil_order": 2.5}, {"stencil_order": "2"}, {"points": float("inf")},
+], ids=["axis-fraction", "axis-bool", "axis-text", "points-fraction", "points-bool",
+        "points-text", "order-fraction", "order-text", "points-inf"])
+def test_spec_refuses_non_integers(kwargs):
+    """A bool, a string or a fraction is refused, never truncated or read as 0/1."""
+    with pytest.raises(ValueError, match="expected int"):
+        LatticeSpec(**{"active_axes": (0,), "points": 8, **kwargs})
+
+
+def test_spec_reads_integral_floats_as_ints():
+    spec = LatticeSpec.from_dict({"active_axes": [2.0], "points": 8.0, "period": 1,
+                                  "stencil_order": 4.0})
+    assert spec == LatticeSpec(active_axes=(1,), points=8, period=1.0, stencil_order=4)
+    assert all(type(v) is int for v in (spec.active_axes[0], spec.points, spec.stencil_order))
+    with pytest.raises(ValueError, match="active axis"):
+        LatticeSpec.from_dict({"active_axes": [1.5], "points": 8, "period": 1.0})
 
 
 def test_spec_roundtrip():
@@ -119,7 +141,7 @@ def test_torsion_matches_analytic_oracle(order):
     for n in (16, 32, 64):
         spec = LatticeSpec(active_axes=(0,), points=n, stencil_order=order)
         state = rotation_state(spec)
-        t = torsion(spec, state.phi)
+        t = _embed_m_axis(spec, torsion(spec, state.phi), 1)
         errs.append(np.abs(t - analytic_torsion(spec, 0.05, 1)).max())
     for p in observed_order(errs):
         assert abs(p - order) < 0.2
@@ -343,25 +365,74 @@ def test_shifted_active_axes_equivalent():
         results[axes] = (
             energy(spec, t),
             float(np.abs(div).max()),
-            float(np.abs(t[..., axes[0], :, :]).max()),
+            float(np.abs(t[..., 0, :, :]).max()),
         )
-        # only the active slot carries torsion
-        inactive = [m for m in range(8) if m not in axes]
-        assert np.abs(t[..., inactive, :, :]).max() == 0.0
+        # one slice, the active axis's; the zero inactive slices are not stored
+        assert t.shape == (16, 1, 8, 8)
     a, b = results[(0,)], results[(5,)]
     assert a == pytest.approx(b, rel=1e-12)
 
 
+def label_invariant_outputs(spec, state):
+    """Every output that does not read an axis label: the record columns but
+    ricci and scalar, theta, entropy and the parabolic rescale report."""
+    nxt = flow_step(state, 0.1 * spec.spacing**2)
+    first = diagnostics(state)
+    second = diagnostics(nxt, (first.t, first.E))
+    columns = ("E", "dEdt", "negDivT2", "maxT", "bianchi", "metric_drift", "omega21_defect")
+    out = [getattr(rec, c) for rec in (first, second) for c in columns]
+    out += list(theta_functional([state, nxt], (4, 4), nxt.t + 1e-3))
+    out.append(entropy(state, 0.01, t_samples=4))
+    out += [v for _, v in sorted(parabolic_rescale(state, 2.0)[1].items())]
+    return out
+
+
 def test_two_axis_shifted_equivalent():
-    for axes in (((0, 1)), ((2, 6))):
+    """The same 2-d data on axes (0, 1) and (2, 6) gives the same physics:
+    every output that sums over the m-slot or reads it as a derivative
+    direction agrees.  ricci and scalar are left out: they read T_{i;ja}
+    at an active label a, a form index, so they legitimately differ."""
+    results = []
+    for axes in ((0, 1), (2, 6)):
         spec = LatticeSpec(active_axes=axes, points=8)
         state = initial_data("random-smooth", {"eps": 0.05, "kmax": 1}, spec, seed=7)
         t = torsion(spec, state.phi)
         div = pi7(div_torsion(spec, t), state.phi)
-        if axes == (0, 1):
-            ref = (energy(spec, t), float(np.abs(div).max()),
-                   bianchi_residual(spec, t))
-        else:
-            out = (energy(spec, t), float(np.abs(div).max()),
-                   bianchi_residual(spec, t))
-            assert out == pytest.approx(ref, rel=1e-12)
+        results.append([energy(spec, t), float(np.abs(div).max()), bianchi_residual(spec, t)]
+                       + label_invariant_outputs(spec, state))
+    assert results[1] == pytest.approx(results[0], rel=1e-12)
+
+
+def embed_loop(spec, compact, position):
+    """The slot-by-slot scatter `_embed_m_axis` replaced, kept as its oracle."""
+    shape = list(compact.shape)
+    shape[position] = 8
+    out = np.zeros(shape, dtype=compact.dtype)
+    idx = [slice(None)] * len(shape)
+    for i, ax in enumerate(spec.active_axes):
+        idx[position] = ax
+        src = [slice(None)] * len(shape)
+        src[position] = i
+        out[tuple(idx)] = compact[tuple(src)]
+    return out
+
+
+@pytest.mark.parametrize("axes", [(3,), (1, 4), (0, 2, 7)])
+def test_embed_matches_slot_loop(axes, rng):
+    spec = LatticeSpec(active_axes=axes, points=4)
+    k = spec.n_axes
+    for position in range(k + 3):
+        shape = (3,) * position + (k,) + (2,) * (k + 2 - position)
+        compact = rng.standard_normal(shape).astype(np.float32)
+        out = _embed_m_axis(spec, compact, position)
+        assert out.dtype == np.float32 and out.shape[position] == 8
+        assert out.tobytes() == embed_loop(spec, compact, position).tobytes()
+
+
+@pytest.mark.parametrize("axes", [(2,), (1, 4), (0, 2, 7)])
+def test_evaluation_keeps_the_active_slices(axes):
+    spec = LatticeSpec(active_axes=axes, points=6)
+    state = initial_data("random-smooth", {"eps": 0.1}, spec, seed=4)
+    ev = evaluate(state)
+    assert ev.t_field.shape == spec.grid_shape + (spec.n_axes, 8, 8)
+    assert ev.t_field.tobytes() == torsion(spec, state.phi).tobytes()

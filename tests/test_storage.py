@@ -100,6 +100,27 @@ def test_checkpoint_corruption_is_typed(tmp_path, state, capsys, corrupt):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lattice", [{"active_axes": [1.5]}, {"active_axes": [True]},
+                                     {"points": 8.5}, {"stencil_order": "2"}],
+                         ids=["axis-fraction", "axis-bool", "points-fraction", "order-text"])
+def test_checkpoint_non_integer_lattice_field_is_typed(tmp_path, state, capsys, lattice):
+    """A lattice field that is not an integer is refused, not truncated; the
+    analysis commands exit 2 instead of tracing back or running on it."""
+    path = str(tmp_path / "n.s7fl")
+    write_checkpoint(path, state)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    header = _header_of(blob)
+    with open(path, "wb") as fh:
+        fh.write(_with_header(blob, dict(header, lattice=dict(header["lattice"], **lattice))))
+    with pytest.raises(CheckpointError, match="expected int"):
+        read_checkpoint(path)
+    for command in (["entropy", "--sigma", "0.01"], ["soliton-check"]):
+        assert main([*command, "--checkpoint", path,
+                     "--out-csv", str(tmp_path / "x.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_checkpoint_legacy_unit_metric_scale_accepted(tmp_path, state):
     path = str(tmp_path / "l.s7fl")
     write_checkpoint(path, state)
