@@ -14,6 +14,6 @@ Subpackages:
 __version__ = "0.1.0"
 
 from . import algebra, flow, heat, lattice, octonion, orbit, storage, verify  # noqa: F401
-from .algebra import cayley_form, metric_from_form  # noqa: F401
+from .algebra import metric_from_form  # noqa: F401
 from .flow import FlowConfig, FlowState, initial_data, run_flow  # noqa: F401
 from .lattice import LatticeSpec  # noqa: F401

@@ -39,10 +39,8 @@ __all__ = [
     "DegenerateFormError",
     "QUADS",
     "TRIPLES",
-    "cayley_form",
     "pack4",
     "unpack4",
-    "pack3",
     "unpack3",
     "PAIRS",
     "slot_matrix",
@@ -149,10 +147,6 @@ def pair_matrix(canon: np.ndarray) -> np.ndarray:
     return p
 
 
-def pack3(gamma: np.ndarray) -> np.ndarray:
-    return gamma[..., _GATHER3[0], _GATHER3[1], _GATHER3[2]]
-
-
 def unpack3(canon: np.ndarray) -> np.ndarray:
     dense = np.take(canon, _SLOT3, axis=-1)
     dense *= _SIGN3
@@ -183,11 +177,6 @@ PHI0 = _build_cayley()
 #: Eigenvalues of lambda_op on the four irreducible 4-form summands,
 #: keyed by summand dimension.
 LAMBDA_EIGENVALUES = {1: -24.0, 7: -12.0, 27: 4.0, 35: 0.0}
-
-
-def cayley_form() -> np.ndarray:
-    """The reference Cayley form (read-only array; copy before mutating)."""
-    return PHI0
 
 
 # ---------------------------------------------------------------------------

@@ -115,12 +115,7 @@ def load_config(path: str) -> tuple[FlowConfig, dict]:
 # subcommands
 
 def cmd_verify(args) -> int:
-    table = None
-    if args.corrupt_octonion_table:
-        from .octonion import OCT_TABLE
-        table = OCT_TABLE.copy()
-        table[3, 5] = -table[3, 5]  # test fixture: break one product
-    results = verify.run_suite(octonion_table=table)
+    results = verify.run_suite()
     if args.json:
         print(json.dumps([r.as_dict() for r in results], indent=2))
     else:
@@ -309,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the exact-identity suite")
     v.add_argument("--json", action="store_true")
-    v.add_argument("--corrupt-octonion-table", action="store_true",
-                   help=argparse.SUPPRESS)  # negative-control test fixture
     v.set_defaults(func=cmd_verify)
 
     fl = sub.add_parser("flow", help="run or resume the gradient flow")

@@ -516,7 +516,7 @@ class SolitonSchedule:
             return np.ones_like(t)
         return -self.c * 2.0 * self.p / t
 
-    def check_invariants(self, n: int = 64) -> float:
+    def check_invariants(self) -> float:
         """Max violation of alpha(t_hat) = 1, the pointwise relation
         alpha = -(2/c) (log rho)' on the interval interior (c != 0), and
         rho(0) = 1 in the steady case."""
@@ -527,7 +527,7 @@ class SolitonSchedule:
             lo, hi = self.interval
             lo = max(lo, self.t_hat - 10.0) if np.isinf(lo) else lo
             hi = min(hi, self.t_hat + 10.0) if np.isinf(hi) else hi
-            ts = np.linspace(lo, hi, n)
+            ts = np.linspace(lo, hi, 64)
             ts = ts[np.abs(ts) > 1e-6]
             dlog = self.p / ts  # (log rho)' for rho = |t|^p
             errs.append(float(np.abs(self.alpha(ts) + (2.0 / self.c) * dlog).max()))
@@ -562,7 +562,7 @@ def soliton_residual(state: FlowState, x_field: np.ndarray) -> float:
     return float(np.abs(ev.gen - x_hook_t - nabla7).max())
 
 
-def convexity_gap(states, lowest_eigenvalue: float | None = None):
+def convexity_gap(states):
     """Descriptive check of the energy-convexity bound along a run:
     d^2E/dt^2 >= integral (Lam - 3 |T|^2) |Div T|^2, with Lam the first
     nonzero eigenvalue of the rough Laplacian on 2-forms; on the flat torus
@@ -573,8 +573,7 @@ def convexity_gap(states, lowest_eigenvalue: float | None = None):
     """
     prev, mid, nxt = states
     spec = mid.spec
-    if lowest_eigenvalue is None:
-        lowest_eigenvalue = (2.0 * np.pi / spec.period) ** 2
+    lowest_eigenvalue = (2.0 * np.pi / spec.period) ** 2
     ev = evaluate(mid)
     e_prev, e_next = (lattice.energy(spec, evaluate(st).t_field) for st in (prev, nxt))
     dtm, dtp = mid.t - prev.t, nxt.t - mid.t

@@ -44,7 +44,6 @@ __all__ = [
     "bianchi_residual",
     "ricci_residual",
     "scalar_residual",
-    "scalar_residual_printed",
     "integrate",
     "grid_coordinates",
 ]
@@ -275,20 +274,8 @@ def scalar_residual(spec: LatticeSpec, t_field: np.ndarray) -> float:
     Equals 4 d_i T_{a;ia} - 4 d_a T_{i;ia} + 8 |v|^2 + 8 T_{a;jb} T_{j;ba}
     with v_b = T_{i;ib}.  Note the |v|^2: the commonly quoted variant with
     |T|^2 in its place is *not* the trace of the Ricci expression and does
-    not vanish on flat-torus data (see `scalar_residual_printed`, kept for
-    comparison, and the refinement tests).
+    not vanish on flat-torus data (tests/test_lattice.py keeps it for
+    comparison as `scalar_residual_printed`).
     """
     res = np.einsum("...ii->...", ricci_residual(spec, t_field, return_field=True))
-    return float(np.abs(res).max())
-
-
-def scalar_residual_printed(spec: LatticeSpec, t_field: np.ndarray) -> float:
-    """The |T|^2 variant of the scalar residual; O(1), does not decay.  It pairs
-    the m-slot with a form index, so it reads T embedded to all eight slots."""
-    t_field = _embed_m_axis(spec, t_field, t_field.ndim - 3)
-    gt = fd_gradient_embedded(spec, t_field)
-    res = (4.0 * np.einsum("...iaia->...", gt)
-           - 4.0 * np.einsum("...aiia->...", gt)
-           + 8.0 * torsion_norm_sq(t_field)
-           + 8.0 * np.einsum("...ajb,...jba->...", t_field, t_field))
     return float(np.abs(res).max())

@@ -21,7 +21,6 @@ __all__ = [
     "OCT_TABLE",
     "oct_mul",
     "oct_conj",
-    "oct_norm",
     "right_mult_matrix",
     "multiplication_table_rows",
 ]
@@ -75,10 +74,6 @@ def oct_conj(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out[..., 1:] *= -1.0
     return out
-
-
-def oct_norm(a: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a, axis=-1)
 
 
 def right_mult_matrix(x: np.ndarray) -> np.ndarray:

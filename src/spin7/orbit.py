@@ -23,8 +23,8 @@ Conventions pinned here (see README.md for the full note):
   and no rescaling of the X ^ (X . Phi0) term can replace K(X):
   least-squares over (f^2-|X|^2) Phi0 + a f theta + b X^(X . Phi0) leaves an
   O(1) admissibility defect for every (a, b); the best fit is
-  (a, b) = (2, 6/7).  `bryant_wedge_form` evaluates that family so the
-  discrepancy stays measurable.
+  (a, b) = (2, 6/7).  tests/test_orbit.py evaluates that family
+  (`bryant_wedge_form`) so the discrepancy stays measurable.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ from .octonion import OCT_TABLE, right_mult_matrix
 __all__ = [
     "theta_form",
     "bryant_form",
-    "bryant_wedge_form",
     "spinor_square4",
     "so8_exp",
     "rotate_form",
-    "wedge_1_3",
 ]
 
 # theta components are linear in X: precompute the (70, 8) coefficient table
@@ -55,14 +53,6 @@ def theta_form(x: np.ndarray) -> np.ndarray:
     """4-form with components Phi0(e_i x, e_j, e_k, e_l) on ascending quadruples."""
     canon = np.einsum("cm,...m->...c", _THETA_TABLE, np.asarray(x, dtype=float))
     return unpack4(canon)
-
-
-def wedge_1_3(x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Wedge of a vector (as 1-form) with a 3-form, determinant convention."""
-    return (np.einsum("...i,...jkl->...ijkl", x, gamma)
-            - np.einsum("...j,...ikl->...ijkl", x, gamma)
-            + np.einsum("...k,...ijl->...ijkl", x, gamma)
-            - np.einsum("...l,...ijk->...ijkl", x, gamma))
 
 
 def spinor_square4(psi: np.ndarray) -> np.ndarray:
@@ -110,21 +100,6 @@ def bryant_form(f, x: np.ndarray) -> np.ndarray:
            + 2.0 * f_eff[..., None, None, None, None] * theta_form(xim)
            - 2.0 * k)
     return out
-
-
-def bryant_wedge_form(f, x: np.ndarray, alpha: float = 2.0, beta: float = 8.0) -> np.ndarray:
-    """(f^2-|x|^2) Phi0 + alpha f theta + beta x^(x . Phi0), for comparison.
-
-    This family misses the admissible orbit for every (alpha, beta); kept so
-    tests can quantify the defect against `bryant_form`.
-    """
-    f = np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n2 = np.einsum("...i,...i->...", x, x)
-    xphi = np.einsum("...m,mjkl->...jkl", x, PHI0)
-    return ((f**2 - n2)[..., None, None, None, None] * PHI0
-            + alpha * f[..., None, None, None, None] * theta_form(x)
-            + beta * wedge_1_3(x, xphi))
 
 
 def so8_exp(a: np.ndarray, check: bool = True) -> np.ndarray:

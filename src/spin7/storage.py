@@ -106,12 +106,15 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
             raise TypeError("header is not a JSON object")
         spec = LatticeSpec.from_dict(header["lattice"])
         t, step = as_number(float, header["t"], "t"), as_number(int, header["step"], "step")
-        if float(header.get("metric_scale", 1.0)) != 1.0:
+        if as_number(float, header.get("metric_scale", 1.0), "metric_scale") != 1.0:
             # a legacy conformal factor: rescaled states now live on a larger period
             raise ValueError("metric_scale is no longer read; re-run `spin7 rescale` "
                              "from the unscaled checkpoint")
         prev = header.get("prev_record")
-        prev = (float(prev[0]), float(prev[1])) if prev is not None else None
+        if prev is not None:
+            if not isinstance(prev, list) or len(prev) != 2:
+                raise ValueError(f"prev_record: expected two numbers, got {prev!r}")
+            prev = tuple(as_number(float, v, "prev_record") for v in prev)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         # ValueError covers UnicodeDecodeError and JSONDecodeError
         raise CheckpointError(f"{path}: bad header: {exc!r}") from exc

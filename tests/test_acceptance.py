@@ -42,7 +42,7 @@ def orders(errs):
 
 def test_criterion_01_identity_suite():
     t0 = time.time()
-    results = verify.run_suite(n_rotations=100)
+    results = verify.run_suite()
     elapsed = time.time() - t0
     pointwise = [r for r in results if "converge" not in r.name]
     worst = max(r.max_error for r in pointwise)

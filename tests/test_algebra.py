@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spin7.algebra import (PHI0, QUADS, DegenerateFormError, cayley_form, decompose3,
+from spin7.algebra import (PHI0, QUADS, TRIPLES, DegenerateFormError, decompose3,
                            decompose4, diamond, endo_split, form_inner, hodge_star4,
-                           lambda_op, metric_from_form, pack3, pack4, pi7, pi21,
+                           lambda_op, metric_from_form, pack4, pi7, pi21,
                            triple_contract, unpack3, unpack4)
 from spin7.orbit import rotate_form, so8_exp
 
@@ -24,10 +24,9 @@ canon70 = arrays(np.float64, (70,), elements=st.floats(-5, 5, allow_nan=False))
 
 
 def test_cayley_form_is_readonly_and_antisymmetric():
-    phi = cayley_form()
-    assert not phi.flags.writeable
-    np.testing.assert_array_equal(phi, -np.swapaxes(phi, 0, 1))
-    np.testing.assert_array_equal(phi, unpack4(pack4(phi)))
+    assert not PHI0.flags.writeable
+    np.testing.assert_array_equal(PHI0, -np.swapaxes(PHI0, 0, 1))
+    np.testing.assert_array_equal(PHI0, unpack4(pack4(PHI0)))
 
 
 def test_full_self_contraction_336():
@@ -302,6 +301,12 @@ def test_decompose3_annihilator(rng):
 def test_decompose3_zero():
     x, g48 = decompose3(np.zeros((8,) * 3), PHI0)
     assert np.abs(x).max() == 0.0 and np.abs(g48).max() == 0.0
+
+
+def pack3(gamma):
+    """Dense 3-form -> its 56 ascending-triple components."""
+    i, j, k = np.array(TRIPLES).T
+    return gamma[..., i, j, k]
 
 
 def test_pack3_roundtrip(rng):

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spin7 import verify
+from spin7.cli import main
 from spin7.flow import DIAG_COLUMNS
+from spin7.octonion import OCT_TABLE
 from spin7.storage import read_checkpoint, write_checkpoint
 
 SMALL_CONFIG = {
@@ -56,12 +60,16 @@ def test_verify_json():
     assert any("42" in entry["name"] for entry in report)
 
 
-def test_verify_corrupted_table_fails_and_names_identity():
-    proc = run_cli("verify", "--corrupt-octonion-table")
-    assert proc.returncode == 1
-    assert "FAILED" in proc.stderr
+def test_verify_corrupted_table_fails_and_names_identity(monkeypatch, capsys):
+    table = OCT_TABLE.copy()
+    table[3, 5] = -table[3, 5]  # break one product
+    monkeypatch.setattr(verify, "run_suite",
+                        functools.partial(verify.run_suite, octonion_table=table))
+    assert main(["verify"]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED" in err
     # the first failing identity is named on stderr
-    assert any(word in proc.stderr for word in ("composition", "contraction"))
+    assert any(word in err for word in ("composition", "contraction"))
 
 
 # ---------------------------------------------------------------------------

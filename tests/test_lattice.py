@@ -5,9 +5,9 @@ from spin7.algebra import PHI0, pack4, pi7, pi21, unpack4
 from spin7.flow import (diagnostics, entropy, evaluate, flow_step, initial_data,
                         parabolic_rescale, theta_functional)
 from spin7.lattice import (LatticeSpec, _embed_m_axis, bianchi_residual, div_torsion,
-                           energy, fd_gradient_generic, fd_laplacian, grid_coordinates,
-                           integrate, max_torsion, omega21_defect, ricci_residual,
-                           scalar_residual, scalar_residual_printed, torsion)
+                           energy, fd_gradient_embedded, fd_gradient_generic, fd_laplacian,
+                           grid_coordinates, integrate, max_torsion, omega21_defect,
+                           ricci_residual, scalar_residual, torsion, torsion_norm_sq)
 from spin7.orbit import rotate_form, so8_exp
 
 from conftest import PHI0C, unit_pi7_generator
@@ -315,6 +315,18 @@ def test_scalar_residual_is_trace_of_ricci():
     t = torsion(spec, state.phi)
     ric = ricci_residual(spec, t, return_field=True)
     assert scalar_residual(spec, t) == float(np.abs(np.einsum("...ii->...", ric)).max())
+
+
+def scalar_residual_printed(spec, t_field):
+    """The |T|^2 variant of the scalar residual; O(1), does not decay.  It pairs
+    the m-slot with a form index, so it reads T embedded to all eight slots."""
+    t_field = _embed_m_axis(spec, t_field, t_field.ndim - 3)
+    gt = fd_gradient_embedded(spec, t_field)
+    res = (4.0 * np.einsum("...iaia->...", gt)
+           - 4.0 * np.einsum("...aiia->...", gt)
+           + 8.0 * torsion_norm_sq(t_field)
+           + 8.0 * np.einsum("...ajb,...jba->...", t_field, t_field))
+    return float(np.abs(res).max())
 
 
 def test_scalar_printed_variant_does_not_decay():

@@ -7,8 +7,7 @@ import scipy.linalg
 from spin7.algebra import (PHI0, decompose4, diamond, lambda_op, metric_from_form,
                            pack4, pi7, pi21, unpack4)
 from spin7.octonion import oct_mul
-from spin7.orbit import (bryant_form, bryant_wedge_form, rotate_form, so8_exp,
-                         spinor_square4, theta_form, wedge_1_3)
+from spin7.orbit import bryant_form, rotate_form, so8_exp, spinor_square4, theta_form
 
 from conftest import PHI0C
 
@@ -125,6 +124,24 @@ def test_bryant_folds_real_slot(rng):
     x[0] = 0.3
     phi = bryant_form(0.7, x)
     np.testing.assert_allclose(phi, PHI0, atol=1e-13)
+
+
+def wedge_1_3(x, gamma):
+    """Wedge of a vector (as 1-form) with a 3-form, determinant convention."""
+    return (np.einsum("...i,...jkl->...ijkl", x, gamma)
+            - np.einsum("...j,...ikl->...ijkl", x, gamma)
+            + np.einsum("...k,...ijl->...ijkl", x, gamma)
+            - np.einsum("...l,...ijk->...ijkl", x, gamma))
+
+
+def bryant_wedge_form(f, x, alpha, beta):
+    """(f^2-|x|^2) Phi0 + alpha f theta + beta x^(x . Phi0): the printed
+    family, which misses the admissible orbit for every (alpha, beta)."""
+    n2 = np.einsum("...i,...i->...", x, x)
+    xphi = np.einsum("...m,mjkl->...jkl", x, PHI0)
+    return ((f**2 - n2)[..., None, None, None, None] * PHI0
+            + alpha * f[..., None, None, None, None] * theta_form(x)
+            + beta * wedge_1_3(x, xphi))
 
 
 def test_printed_wedge_family_misses_the_orbit(rng):

@@ -84,8 +84,12 @@ def _header_of(blob: bytes) -> dict:
     lambda b: _with_header(b, {k: v for k, v in _header_of(b).items() if k != "t"}),
     lambda b: _with_header(b, dict(_header_of(b), lattice={"points": 8})),
     lambda b: _with_header(b, dict(_header_of(b), metric_scale=4.0)),
+    lambda b: _with_header(b, dict(_header_of(b), metric_scale="1")),
+    lambda b: _with_header(b, dict(_header_of(b), prev_record=[True, "0.5"])),
+    lambda b: _with_header(b, dict(_header_of(b), prev_record=[0.1, 0.2, 0.3])),
 ], ids=["cut-10-bytes", "non-utf8-header", "header-past-eof", "missing-key",
-        "bad-lattice", "legacy-metric-scale"])
+        "bad-lattice", "legacy-metric-scale", "metric-scale-text", "prev-record-not-numbers",
+        "prev-record-three-entries"])
 def test_checkpoint_corruption_is_typed(tmp_path, state, capsys, corrupt):
     path = str(tmp_path / "c.s7fl")
     write_checkpoint(path, state)
