@@ -51,11 +51,25 @@ class ConfigError(ValueError):
     pass
 
 
+# Errors a run reports as `abort: ...` and exit 3 once its manifest says
+# `running`; raised before that, `main` reports them as config errors (exit 2).
+# ConfigError, CheckpointError and DegenerateFormError are ValueErrors.  An
+# OSError exits 3 wherever it is raised.
+_RUN_ERRORS = (FlowAbort, ValueError, ArithmeticError, MemoryError)
+
+
+def _describe(exc: BaseException) -> str:
+    # any but the typed errors keeps its type name: a library fault stays diagnosable
+    if isinstance(exc, (ConfigError, storage.CheckpointError, FlowAbort)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 # ---------------------------------------------------------------------------
 # config parsing (strict: unknown keys are errors)
 
 # How each optional key FlowConfig takes is read, numbers by `as_number`.
-# FlowConfig holds every default, and a null t_end or max_steps stays None.
+# FlowConfig holds every default; only t_end and max_steps may be null (None).
 _COERCE = {"cfl": float, "t_end": float, "max_steps": int, "diag_cadence": int,
            "checkpoint_cadence": int, "div_tol": float, "blowup_factor": float}
 _INITIAL_COERCE = {"family": lambda v: v, "params": dict, "seed": int}
@@ -90,14 +104,12 @@ def parse_config(config_dict: dict) -> FlowConfig:
     if integrator != "lie-euler":
         raise ConfigError(f"unknown integrator {integrator!r}: only 'lie-euler' is "
                           "supported (the Euler integrator was removed)")
-    try:
-        kwargs = {key: None if root[key] is None else as_number(kind, root[key], key)
-                  for key, kind in _COERCE.items() if key in root}
-        kwargs.update((key, as_number(kind, init[key], key) if kind is int else kind(init[key]))
-                      for key, kind in _INITIAL_COERCE.items() if key in init)
-        return FlowConfig(spec=spec, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    kwargs = {key: None if root[key] is None and key in ("t_end", "max_steps")
+              else as_number(kind, root[key], key)
+              for key, kind in _COERCE.items() if key in root}
+    kwargs.update((key, as_number(kind, init[key], key) if kind is int else kind(init[key]))
+                  for key, kind in _INITIAL_COERCE.items() if key in init)
+    return FlowConfig(spec=spec, **kwargs)
 
 
 def load_config(path: str) -> tuple[FlowConfig, dict]:
@@ -151,11 +163,11 @@ def _run_and_write(config: FlowConfig, raw_config: dict, out_dir: str,
     try:
         result = flow.run_flow(config, state=state, prev_record=prev_record,
                                on_record=writer.append, on_checkpoint=on_checkpoint)
-    except FlowAbort as exc:
+    except _RUN_ERRORS as exc:
         writer.flush()
         storage.write_manifest(manifest_path, raw_config, config.seed, config.spec,
-                               started, _now(), f"abort: {exc}")
-        print(f"runtime abort: {exc}", file=sys.stderr)
+                               started, _now(), f"abort: {_describe(exc)}")
+        print(f"runtime abort: {_describe(exc)}", file=sys.stderr)
         return 3
     writer.flush()
     storage.write_manifest(manifest_path, raw_config, config.seed, config.spec,
@@ -168,10 +180,7 @@ def _run_and_write(config: FlowConfig, raw_config: dict, out_dir: str,
 def cmd_flow_run(args) -> int:
     config, raw = load_config(args.config)
     # built before the manifest, so bad initial data leaves no `running` run behind
-    try:
-        state = flow.initial_data(config.family, config.params, config.spec, config.seed)
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad initial data: {exc}")
+    state = flow.initial_data(config.family, config.params, config.spec, config.seed)
     return _run_and_write(config, raw, args.out, state=state)
 
 
@@ -184,10 +193,7 @@ def cmd_flow_resume(args) -> int:
         raise ConfigError("checkpoint lattice disagrees with its embedded config")
     # tested at resume, not in read_checkpoint: the analysis commands read
     # many checkpoints per call and flow none of them
-    try:
-        flow.require_admissible(loaded.state)
-    except ValueError as exc:
-        raise storage.CheckpointError(f"checkpoint cannot be resumed: {exc}")
+    flow.require_admissible(loaded.state, f"checkpoint {args.checkpoint}")
     return _run_and_write(config, raw, args.out, state=loaded.state,
                           prev_record=loaded.prev_record)
 
@@ -230,10 +236,7 @@ def cmd_theta(args) -> int:
 
 def cmd_entropy(args) -> int:
     (state,) = _load_states([args.checkpoint])
-    try:
-        val = flow.entropy(state, args.sigma, t_samples=args.t_samples, x_stride=args.x_stride)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    val = flow.entropy(state, args.sigma, t_samples=args.t_samples, x_stride=args.x_stride)
     storage.write_series_csv(args.out_csv, [(args.sigma, val)], ("sigma", "entropy"))
     print(f"entropy({args.sigma:g}) = {val:.16e} -> {args.out_csv}")
     return 0
@@ -242,10 +245,7 @@ def cmd_entropy(args) -> int:
 def cmd_rescale(args) -> int:
     loaded = storage.read_checkpoint(args.checkpoint)
     c = args.factor
-    try:
-        new_state, report = flow.parabolic_rescale(loaded.state, c)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    new_state, report = flow.parabolic_rescale(loaded.state, c)
     prev, raw = loaded.prev_record, loaded.config_dict
     if prev is not None:
         # E is the integral of |T|^2 (scaling c^-2) over a volume scaling c^8
@@ -355,12 +355,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, storage.CheckpointError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except _RUN_ERRORS as exc:
+        print(f"config error: {_describe(exc)}", file=sys.stderr)
         return 2
-    except FlowAbort as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"runtime abort (i/o): {exc}", file=sys.stderr)
         return 3

@@ -104,6 +104,8 @@ class FlowConfig:
             raise ValueError(f"div_tol must be finite and >= 0, got {self.div_tol}")
         if not 0.0 < self.blowup_factor < math.inf:
             raise ValueError(f"blowup_factor must be finite and > 0, got {self.blowup_factor}")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt = cfl * h^2 underflows to 0 (h = {self.spec.spacing:g})")
 
     @property
     def dt(self) -> float:
@@ -139,10 +141,21 @@ def _pi7_unit_generator(rng: np.random.Generator) -> np.ndarray:
     return a / np.sqrt(np.sum(a * a))
 
 
-def _profile(spec: LatticeSpec, kind: str, params: dict):
-    """Periodic scalar profile theta(x) on the grid."""
-    xs = lattice.grid_coordinates(spec)
+def _amplitude(params: dict, n_terms: int = 1) -> float:
+    """The `eps` of an angle field of up to n_terms * |eps|, whose square
+    (the squared generator norm in `so8_exp`) must stay finite."""
     eps = as_number(float, params.get("eps", 0.05), "eps")
+    bound = eps * n_terms
+    if not math.isfinite(bound * bound):
+        raise ValueError(f"eps: {eps:g} is too large, the squared rotation angle overflows")
+    return eps
+
+
+def _profile(spec: LatticeSpec, kind: str, params: dict):
+    """Periodic scalar profile theta(x) on the grid; `kind` is a key of
+    _PROFILE_PARAMS and `params` holds only keys it reads."""
+    xs = lattice.grid_coordinates(spec)
+    eps = _amplitude(params)
     l = spec.period
     if kind == "sine":
         axis = as_number(int, params.get("axis", 0), "axis")     # an active-axis index
@@ -150,30 +163,32 @@ def _profile(spec: LatticeSpec, kind: str, params: dict):
             raise ValueError(f"axis must lie in [0, {spec.n_axes}), got {axis}")
         mode = as_number(int, params.get("mode", 1), "mode")
         return eps * np.sin(2.0 * np.pi * mode * xs[axis] / l)
-    if kind == "bump":
-        width = as_number(float, params.get("width", l / 16.0), "width")
-        centers = [as_number(float, c, "center")
-                   for c in params.get("center", [l / 2.0] * spec.n_axes)]
-        if len(centers) != spec.n_axes:
-            raise ValueError(f"bump center needs {spec.n_axes} coordinates, one per "
-                             f"active axis, got {len(centers)}")
-        out = np.ones(spec.grid_shape)
-        for x, c in zip(xs, centers):
-            # Gaussian in the periodic chordal distance (L/pi) sin(pi d / L),
-            # smooth on the torus and localized at scale `width`
-            d = np.sin(np.pi * (x - c) / l) * l / np.pi
-            out = out * np.exp(-d * d / (2.0 * width**2))
-        return eps * out
-    raise ValueError(f"unknown profile {kind!r}")
+    width = as_number(float, params.get("width", l / 16.0), "width")
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width:g}")
+    centers = params.get("center", [l / 2.0] * spec.n_axes)
+    if not isinstance(centers, (list, tuple)) or len(centers) != spec.n_axes:
+        raise ValueError(f"bump center needs a list of {spec.n_axes} coordinates, one per "
+                         f"active axis, got {centers!r}")
+    centers = [as_number(float, c, "center") for c in centers]
+    out = np.ones(spec.grid_shape)
+    for x, c in zip(xs, centers):
+        # Gaussian in the periodic chordal distance (L/pi) sin(pi d / L),
+        # smooth on the torus and localized at scale `width`
+        d = np.sin(np.pi * (x - c) / l) * l / np.pi
+        out = out * np.exp(-d * d / (2.0 * width**2))
+    return eps * out
 
 
-# the `params` keys each initial-data family reads
+# the `params` keys each initial-data family reads; a rotation field reads
+# "profile" and then the keys of its profile
 _FAMILY_PARAMS = {
     "constant": (),
-    "rotation-field": ("eps", "profile", "axis", "mode", "width", "center"),
+    "rotation-field": ("profile",),
     "bryant-wave": ("eps", "axis"),
     "random-smooth": ("eps", "kmax", "n_generators"),
 }
+_PROFILE_PARAMS = {"sine": ("eps", "axis", "mode"), "bump": ("eps", "width", "center")}
 
 
 def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) -> FlowState:
@@ -186,22 +201,28 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
       bryant-wave     spinor parametrization along a periodic sphere curve
       random-smooth   exp(A(x)) . Phi0, A a low-frequency random 7-summand field
 
-    Raises ValueError for an unknown family or a params key the family does
-    not read.
+    Raises ValueError for an unknown family or profile, a params key the
+    family (or its profile) does not read, or a parameter out of range.
     """
-    if family not in _FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
         raise ValueError(f"unknown initial-data family {family!r}")
     params = dict(params or {})
-    unknown = sorted(set(params) - set(_FAMILY_PARAMS[family]))
+    read, where = _FAMILY_PARAMS[family], repr(family)
+    if family == "rotation-field":
+        profile = params.pop("profile", "sine")
+        if not isinstance(profile, str) or profile not in _PROFILE_PARAMS:
+            raise ValueError(f"unknown profile {profile!r}")
+        read, where = _PROFILE_PARAMS[profile], f"{family!r} with profile {profile!r}"
+    unknown = sorted(set(params) - set(read))
     if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in params of {family!r}")
+        raise ValueError(f"unknown key {unknown[0]!r} in params of {where}")
     rng = np.random.default_rng(seed)
     phi0c = pack4(algebra.PHI0)
     if family == "constant":
         phi = np.broadcast_to(phi0c, spec.grid_shape + (70,)).copy()
     elif family == "rotation-field":
         gen = _pi7_unit_generator(rng)
-        theta = _profile(spec, params.pop("profile", "sine"), params)
+        theta = _profile(spec, profile, params)
         rot = orbit.so8_exp(theta[..., None, None] * gen)
         phi = orbit.rotate_form(rot, phi0c)
     elif family == "bryant-wave":
@@ -214,9 +235,12 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
         xvec = np.sin(s)[..., None] * u
         phi = pack4(orbit.bryant_form(f, xvec))
     elif family == "random-smooth":
-        eps = as_number(float, params.get("eps", 0.05), "eps")
         kmax = as_number(int, params.get("kmax", 2), "kmax")
         n_gen = as_number(int, params.get("n_generators", 3), "n_generators")
+        for key, value in (("kmax", kmax), ("n_generators", n_gen)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+        eps = _amplitude(params, n_gen)
         xs = lattice.grid_coordinates(spec)
         a_field = np.zeros(spec.grid_shape + (8, 8))
         for _ in range(n_gen):
@@ -228,7 +252,7 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
             a_field = a_field + (eps * np.sin(phase))[..., None, None] * gen
         phi = orbit.rotate_form(orbit.so8_exp(a_field), phi0c)
     state = FlowState(spec=spec, phi=phi)
-    require_admissible(state)
+    require_admissible(state, "initial data")
     return state
 
 
@@ -272,16 +296,19 @@ def metric_drift(state: FlowState) -> float:
     return float(np.abs(g - np.eye(8)).max())
 
 
-def require_admissible(state: FlowState) -> None:
+def require_admissible(state: FlowState, source: str = "form") -> None:
     """Refuse a state off the rotation orbit: every form must induce the
     identity metric, to a `metric_drift` below 1e-8.
 
     Raises ValueError, or its subclass DegenerateFormError where a form
-    induces no metric at all.
+    induces no metric at all; either message starts with `source`.
     """
-    drift = metric_drift(state)
+    try:
+        drift = metric_drift(state)
+    except algebra.DegenerateFormError as exc:
+        raise algebra.DegenerateFormError(f"{source}: {exc}") from None
     if not drift < 1e-8:
-        raise ValueError(f"form is off the rotation orbit: metric drift {drift:.3e}")
+        raise ValueError(f"{source} is off the rotation orbit: metric drift {drift:.3e}")
 
 
 def _record(state: FlowState, ev: Evaluation, prev: tuple[float, float] | None) -> DiagRecord:

@@ -20,6 +20,7 @@ for a fixed shape.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -51,10 +52,18 @@ __all__ = [
 
 def as_number(kind: type, value, what: str):
     """A config or header number as `kind` (int or float): ValueError for a
-    bool, a string and, for int, a fraction, which int() would truncate."""
+    bool, a string, a number that is not finite as a float (NaN, +-Infinity,
+    an integer past the float range) and, for int, a fraction, which int()
+    would truncate."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real) or kind is int
             and not isinstance(value, numbers.Integral) and not float(value).is_integer()):
         raise ValueError(f"{what}: expected {kind.__name__}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{what}: the integer {value!r:.20}... is past the float range") from None
+    if not finite:
+        raise ValueError(f"{what}: expected a finite {kind.__name__}, got {value!r}")
     return kind(value)
 
 
@@ -86,6 +95,14 @@ class LatticeSpec:
                 f"points={self.points} too small for stencil order {self.stencil_order}")
         if not self.period > 0:
             raise ValueError("period must be positive")
+        try:
+            volume = self.cell_volume
+        except OverflowError:           # float ** int raises where it overflows
+            volume = math.inf
+        if not 0.0 < volume < math.inf:     # a float power underflows to 0 silently
+            raise ValueError(f"period {self.period:g} puts the cell volume "
+                             f"{self.spacing:g}^{self.n_axes} * {self.period:g}^"
+                             f"{8 - self.n_axes} outside the float range")
 
     @property
     def n_axes(self) -> int:

@@ -88,6 +88,14 @@ class LoadedCheckpoint:
 
 
 def read_checkpoint(path: str) -> LoadedCheckpoint:
+    """The state, previous record and run config a checkpoint holds.
+
+    Raises CheckpointError for a file that is not a version-1 checkpoint, a
+    header that is not a JSON object of the expected keys, a header number
+    (`t`, `step`, `prev_record`, the lattice's) that is not a finite number
+    of its kind, or a payload of the wrong size or holding a value that is
+    not finite.  OSError from reading the file passes through.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -115,7 +123,7 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
             if not isinstance(prev, list) or len(prev) != 2:
                 raise ValueError(f"prev_record: expected two numbers, got {prev!r}")
             prev = tuple(as_number(float, v, "prev_record") for v in prev)
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         # ValueError covers UnicodeDecodeError and JSONDecodeError
         raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
     body = blob[16 + hlen:]
@@ -124,6 +132,8 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
         raise CheckpointError(
             f"{path}: payload is {len(body)} bytes, expected {expected}")
     phi = np.frombuffer(body, dtype="<f8").astype(float).reshape(spec.grid_shape + (70,))
+    if not np.isfinite(phi).all():
+        raise CheckpointError(f"{path}: payload holds a value that is not finite")
     state = FlowState(spec=spec, phi=phi, t=t, step=step)
     return LoadedCheckpoint(state=state, prev_record=prev, config_dict=header.get("config"))
 

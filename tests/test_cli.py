@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spin7 import verify
+from spin7 import flow, verify
+from spin7.algebra import DegenerateFormError
 from spin7.cli import main
 from spin7.flow import DIAG_COLUMNS
 from spin7.octonion import OCT_TABLE
@@ -164,6 +165,23 @@ def _initial(family="rotation-field", **params):
     _initial("bryant-wave", axis=-1),
     _initial(eps="0.05"),
     _initial(profile="bump", center=[True]),
+    _initial(eps=1e300),
+    {"t_end": 10**400},
+    {"lattice": dict(SMALL_CONFIG["lattice"], period=10**400)},
+    {"lattice": dict(SMALL_CONFIG["lattice"], active_axes=[1, 2, 3], points=100000)},
+    _initial(width=0.1),
+    _initial(profile="bump", mode=2),
+    _initial("random-smooth", n_generators=-3),
+    _initial("random-smooth", kmax=0),
+    _initial(profile="bump", width=0),
+    {"lattice": dict(SMALL_CONFIG["lattice"], period=1e-300)},
+    {"cfl": 5e-324},
+    {"lattice": dict(SMALL_CONFIG["lattice"], period=1e50)},
+    {"lattice": dict(SMALL_CONFIG["lattice"], period=1e-50)},
+    {"cfl": None},
+    {"div_tol": None},
+    _initial([1]),
+    _initial(profile="bump", center=0.5),
 ], ids=["family", "profile", "eps-text", "eps-list", "axis", "integrator-euler",
         "integrator-rk4", "params-unknown-key", "params-constant", "checkpoint-cadence",
         "max-steps", "blowup-negative", "blowup-inf", "t-end-nan", "t-end-negative",
@@ -172,14 +190,41 @@ def _initial(family="rotation-field", **params):
         "axes-fraction", "axes-bool", "points-fraction", "max-steps-bool",
         "max-steps-fraction", "diag-cadence-fraction", "checkpoint-cadence-bool",
         "cfl-text", "cfl-bool", "seed-fraction", "axis-negative", "axis-fraction",
-        "bryant-axis-negative", "eps-numeric-text", "bump-center-bool"])
+        "bryant-axis-negative", "eps-numeric-text", "bump-center-bool", "eps-1e300",
+        "t-end-401-digits", "period-401-digits", "points-7-pib", "sine-width", "bump-mode",
+        "n-generators-negative", "kmax-0", "bump-width-0", "period-1e-300", "dt-underflow",
+        "period-1e50", "period-1e-50", "cfl-null", "div-tol-null", "family-list",
+        "bump-center-number"])
 def test_bad_config_exits_2_before_the_run(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "o"
     proc = run_cli("flow", "run", "--config", cfg, "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not (out / "manifest.json").exists()
+
+
+def test_failure_during_the_run_aborts_with_exit_3(tmp_path, monkeypatch, capsys):
+    """A record that raises after step 0 ends the run like a FlowAbort: the
+    records made so far are flushed and the manifest names the abort."""
+    real_record = flow._record
+
+    def record(state, ev, prev):
+        if state.step > 0:
+            raise DegenerateFormError("degenerate 4-form: induced g(v,v)^2 not positive")
+        return real_record(state, ev, prev)
+
+    monkeypatch.setattr(flow, "_record", record)
+    out = tmp_path / "out"
+    assert main(["flow", "run", "--config", write_config(tmp_path), "--out", str(out)]) == 3
+    # a library error keeps its type name in both reports
+    assert "runtime abort: DegenerateFormError: degenerate" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_reason"].startswith("abort: DegenerateFormError: degenerate")
+    rows = (out / "series.csv").read_text().splitlines()
+    assert rows[0] == ",".join(DIAG_COLUMNS) and len(rows) == 2
+    assert float(rows[1].split(",")[0]) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,15 @@ def _header_of(blob: bytes) -> dict:
     lambda b: _with_header(b, dict(_header_of(b), metric_scale="1")),
     lambda b: _with_header(b, dict(_header_of(b), prev_record=[True, "0.5"])),
     lambda b: _with_header(b, dict(_header_of(b), prev_record=[0.1, 0.2, 0.3])),
+    lambda b: _with_header(b, dict(_header_of(b), t=float("nan"))),
+    lambda b: _with_header(b, dict(_header_of(b), prev_record=[float("nan"), 1.0])),
+    lambda b: _with_header(b, dict(_header_of(b),
+                                   lattice=dict(_header_of(b)["lattice"], period=float("inf")))),
+    lambda b: b[:-8] + np.float64("nan").tobytes(),            # last payload value NaN
 ], ids=["cut-10-bytes", "non-utf8-header", "header-past-eof", "missing-key",
         "bad-lattice", "legacy-metric-scale", "metric-scale-text", "prev-record-not-numbers",
-        "prev-record-three-entries"])
+        "prev-record-three-entries", "t-nan", "prev-record-nan", "period-infinity",
+        "payload-nan"])
 def test_checkpoint_corruption_is_typed(tmp_path, state, capsys, corrupt):
     path = str(tmp_path / "c.s7fl")
     write_checkpoint(path, state)
@@ -99,9 +105,14 @@ def test_checkpoint_corruption_is_typed(tmp_path, state, capsys, corrupt):
         fh.write(corrupt(blob))
     with pytest.raises(CheckpointError):
         read_checkpoint(path)
-    assert main(["soliton-check", "--checkpoint", path,
-                 "--out-csv", str(tmp_path / "s.csv")]) == 2
-    assert "config error" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for command in (["soliton-check", "--out-csv", str(tmp_path / "s.csv")],
+                    ["entropy", "--sigma", "0.01", "--out-csv", str(tmp_path / "e.csv")],
+                    ["theta", "--t0", "1.0", "--out-csv", str(tmp_path / "t.csv")],
+                    ["flow", "resume", "--out", str(out)]):
+        assert main([*command, "--checkpoint", path]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lattice", [{"active_axes": [1.5]}, {"active_axes": [True]},
