@@ -8,9 +8,8 @@ decaying runs; -1/2 would indicate first-kind self-similar blow-up).
 """
 
 import argparse
-import json
 
-from spin7.cli import parse_config
+from spin7.cli import load_config
 from spin7.flow import convexity_gap, fit_type1_exponent, flow_step, run_flow
 
 
@@ -18,8 +17,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", required=True)
     args = ap.parse_args()
-    with open(args.config, encoding="utf-8") as fh:
-        config = parse_config(json.load(fh))
+    config, _ = load_config(args.config)
 
     res = run_flow(config)
     recs = res.records

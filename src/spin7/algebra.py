@@ -120,6 +120,15 @@ _P_CANON = _SLOT2[_GATHER4[0], _GATHER4[1]] * 28 + _SLOT2[_GATHER4[2], _GATHER4[
 _HODGE_COMP, _HODGE_SIGN = _hodge_tables(QUADS, QUADS)
 
 
+def _signed_take(values: np.ndarray, slot: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """values[..., slot] * sign: the one way canonical storage is read.  np.take
+    keeps the gather C-contiguous, unlike values[..., slot], and the sign
+    multiplies it in place."""
+    out = np.take(values, slot, axis=-1)
+    out *= sign
+    return out
+
+
 def pack4(sigma: np.ndarray) -> np.ndarray:
     """Dense (...,8,8,8,8) -> canonical (...,70)."""
     flat = np.reshape(sigma, np.shape(sigma)[:-4] + (4096,))
@@ -128,29 +137,21 @@ def pack4(sigma: np.ndarray) -> np.ndarray:
 
 def unpack4(canon: np.ndarray) -> np.ndarray:
     """Canonical (...,70) -> dense (...,8,8,8,8)."""
-    dense = np.take(canon, _SLOT4, axis=-1)    # C-contiguous, unlike canon[..., _SLOT4]
-    dense *= _SIGN4
-    return dense
+    return _signed_take(canon, _SLOT4, _SIGN4)
 
 
 def slot_matrix(canon: np.ndarray) -> np.ndarray:
     """Canonical (...,70) -> slot matrix (...,8,56), S[a, t] = phi[a, t]."""
-    s = np.take(canon, _S_SLOT, axis=-1)    # C-contiguous, unlike canon[..., _S_SLOT]
-    s *= _S_SIGN
-    return s
+    return _signed_take(canon, _S_SLOT, _S_SIGN)
 
 
 def pair_matrix(canon: np.ndarray) -> np.ndarray:
     """Canonical (...,70) -> pair matrix (...,28,28), P[(ab), (cd)] = phi[a, b, c, d]."""
-    p = np.take(canon, _P_SLOT, axis=-1)
-    p *= _P_SIGN
-    return p
+    return _signed_take(canon, _P_SLOT, _P_SIGN)
 
 
 def unpack3(canon: np.ndarray) -> np.ndarray:
-    dense = np.take(canon, _SLOT3, axis=-1)
-    dense *= _SIGN3
-    return dense
+    return _signed_take(canon, _SLOT3, _SIGN3)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +207,7 @@ def _form_on_2forms(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     i, j = _GATHER2
     v = beta[..., i, j] - beta[..., j, i]
     w = np.matmul(v[..., None, :], pair_matrix(phi))[..., 0, :]
-    out = np.take(w, _SLOT2, axis=-1)
-    out *= _SIGN2
-    return out
+    return _signed_take(w, _SLOT2, _SIGN2)
 
 
 def pi7(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -337,10 +336,8 @@ _GAMMA_SLOT, _GAMMA_SIGN, _STAR_SLOT, _STAR_SIGN, _A_SIGN, _FRAME_READ, _A_POS =
 
 def _frame_b(gam: np.ndarray) -> np.ndarray:
     """B = Gamma M Gamma^T (..., 7, 7) of gamma = i_w phi on the columns, (..., 35)."""
-    rows = np.take(gam, _GAMMA_SLOT, axis=-1)     # Gamma
-    rows *= _GAMMA_SIGN
-    star = np.take(gam, _STAR_SLOT, axis=-1)      # M
-    star *= _STAR_SIGN
+    rows = _signed_take(gam, _GAMMA_SLOT, _GAMMA_SIGN)    # Gamma
+    star = _signed_take(gam, _STAR_SLOT, _STAR_SIGN)      # M
     return rows @ star @ np.swapaxes(rows, -1, -2)
 
 
@@ -372,8 +369,7 @@ def metric_from_form(phi: np.ndarray) -> np.ndarray:
         # fancy indexing reads a strided input in place; np.take would copy it whole
         read = np.ascontiguousarray(flat[start:start + _METRIC_BLOCK, _FRAME_READ])
         gam = read.reshape(-1, 8, 35)                # gamma(e_k), k = 0..7
-        a_form = np.take(read, _A_POS, axis=-1)
-        a_form *= _A_SIGN
+        a_form = _signed_take(read, _A_POS, _A_SIGN)
         aval = np.einsum("pr,pr->p", gam[:, 0], a_form)
         if np.any(np.abs(aval) < 1e-14):
             raise DegenerateFormError("degenerate 4-form: frame 7-form A(v) vanishes")

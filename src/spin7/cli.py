@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 
@@ -44,7 +45,7 @@ import numpy as np  # noqa: E402
 
 from . import flow, storage, verify  # noqa: E402
 from .flow import FlowAbort, FlowConfig  # noqa: E402
-from .lattice import LatticeSpec, as_number  # noqa: E402
+from .lattice import LatticeSpec, as_object  # noqa: E402
 
 
 class ConfigError(ValueError):
@@ -68,48 +69,21 @@ def _describe(exc: BaseException) -> str:
 # ---------------------------------------------------------------------------
 # config parsing (strict: unknown keys are errors)
 
-# How each optional key FlowConfig takes is read, numbers by `as_number`.
-# FlowConfig holds every default; only t_end and max_steps may be null (None).
-_COERCE = {"cfl": float, "t_end": float, "max_steps": int, "diag_cadence": int,
-           "checkpoint_cadence": int, "div_tol": float, "blowup_factor": float}
-_INITIAL_COERCE = {"family": lambda v: v, "params": dict, "seed": int}
-# "integrator" is legacy: older configs carry "lie-euler", its only value
-_TOP_KEYS = {"lattice", "initial", "integrator"} | set(_COERCE)
-_LATTICE_KEYS = {"active_axes", "points", "period", "stencil_order"}
-
-
-def _object(value, where: str, allowed: set | None = None) -> dict:
-    """A JSON object from the config; with `allowed`, every key must lie in it."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(value) - allowed) if allowed is not None else []
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-    return value
+# FlowConfig reads its own numbers.  "integrator" is legacy: older configs
+# carry "lie-euler", its only value
+_INITIAL_KEYS = ("family", "params", "seed")
+_TOP_KEYS = (({f.name for f in fields(FlowConfig)} - {"spec", *_INITIAL_KEYS})
+             | {"lattice", "initial", "integrator"})
 
 
 def parse_config(config_dict: dict) -> FlowConfig:
-    root = _object(config_dict, "config", _TOP_KEYS)
-    if "lattice" not in root:
-        raise ConfigError("missing required key 'lattice'")
-    lat = _object(root["lattice"], "lattice", _LATTICE_KEYS)
-    try:
-        spec = LatticeSpec.from_dict(lat)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lattice spec: {exc}")
-    init = _object(root.get("initial", {}), "initial", set(_INITIAL_COERCE))
-    if "params" in init:
-        _object(init["params"], "params")    # its keys are the family's to check
-    integrator = root.get("integrator", "lie-euler")
-    if integrator != "lie-euler":
-        raise ConfigError(f"unknown integrator {integrator!r}: only 'lie-euler' is "
+    root = as_object(config_dict, "config", _TOP_KEYS, ("lattice",))
+    init = as_object(root.get("initial", {}), "initial", _INITIAL_KEYS)
+    if root.get("integrator", "lie-euler") != "lie-euler":
+        raise ConfigError(f"unknown integrator {root['integrator']!r}: only 'lie-euler' is "
                           "supported (the Euler integrator was removed)")
-    kwargs = {key: None if root[key] is None and key in ("t_end", "max_steps")
-              else as_number(kind, root[key], key)
-              for key, kind in _COERCE.items() if key in root}
-    kwargs.update((key, as_number(kind, init[key], key) if kind is int else kind(init[key]))
-                  for key, kind in _INITIAL_COERCE.items() if key in init)
-    return FlowConfig(spec=spec, **kwargs)
+    top = {k: v for k, v in root.items() if k not in ("lattice", "initial", "integrator")}
+    return FlowConfig(spec=LatticeSpec.from_dict(root["lattice"]), **init, **top)
 
 
 def load_config(path: str) -> tuple[FlowConfig, dict]:
@@ -244,18 +218,26 @@ def cmd_entropy(args) -> int:
 
 def cmd_rescale(args) -> int:
     loaded = storage.read_checkpoint(args.checkpoint)
-    c = args.factor
-    new_state, report = flow.parabolic_rescale(loaded.state, c)
-    prev, raw = loaded.prev_record, loaded.config_dict
-    if prev is not None:
-        # E is the integral of |T|^2 (scaling c^-2) over a volume scaling c^8
-        prev = (c * c * prev[0], c**6 * prev[1])
-    if raw is not None:
-        # the same run on the larger torus, so that `flow resume` continues it
-        config = parse_config(raw)
-        raw = dict(raw, lattice=new_state.spec.to_dict(), div_tol=config.div_tol / c**2)
-        if config.t_end is not None:
-            raw["t_end"] = c * c * config.t_end
+    new_state, report = flow.parabolic_rescale(loaded.state, args.factor)
+    c, prev, raw = np.float64(args.factor), loaded.prev_record, loaded.config_dict
+
+    def scaled(what: str, old: float, new) -> float:
+        if not np.isfinite(new) or (new == 0.0 and old != 0.0):
+            raise ConfigError(f"rescale factor {c:g} takes the {what} out of floating-point range")
+        return float(new)
+
+    # the same run on the larger torus, so that `flow resume` continues it
+    with np.errstate(over="ignore", under="ignore"):
+        if prev is not None:
+            # E is the integral of |T|^2 (scaling c^-2) over a volume scaling c^8
+            prev = (scaled("previous record time", prev[0], c * c * prev[0]),
+                    scaled("previous record energy", prev[1], c**6 * prev[1]))
+        if raw is not None:
+            config = parse_config(raw)
+            raw = dict(raw, lattice=new_state.spec.to_dict(),
+                       div_tol=scaled("div_tol", config.div_tol, config.div_tol / c**2))
+            if config.t_end is not None:
+                raw["t_end"] = scaled("t_end", config.t_end, c * c * config.t_end)
     storage.write_checkpoint(args.out_checkpoint, new_state, prev_record=prev,
                              config_dict=raw)
     if args.report_csv:

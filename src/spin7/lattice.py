@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .algebra import pi21, slot_matrix, unpack4  # noqa: F401
 
 __all__ = [
     "as_number",
+    "as_object",
     "LatticeSpec",
     "fd_gradient_generic",
     "fd_gradient_embedded",
@@ -67,6 +68,20 @@ def as_number(kind: type, value, what: str):
     return kind(value)
 
 
+def as_object(value, what: str, keys=None, required=()) -> dict:
+    """A config or header JSON object: ValueError for a value that is not an
+    object, a key outside `keys` (when given) or a missing `required` key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = [k for k in value if keys is not None and k not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {what}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ValueError(f"missing required key {missing[0]!r} in {what}")
+    return value
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Grid over a subset of the eight torus axes.
@@ -84,8 +99,8 @@ class LatticeSpec:
     def __post_init__(self):
         axes = tuple(as_number(int, a, "active axis") for a in self.active_axes)
         object.__setattr__(self, "active_axes", axes)
-        for name in ("points", "stencil_order"):
-            object.__setattr__(self, name, as_number(int, getattr(self, name), name))
+        for name, kind in (("points", int), ("period", float), ("stencil_order", int)):
+            object.__setattr__(self, name, as_number(kind, getattr(self, name), name))
         if not axes or any(a < 0 or a > 7 for a in axes) or list(axes) != sorted(set(axes)):
             raise ValueError(f"active_axes must be ascending distinct axes in 0..7, got {axes}")
         if self.stencil_order not in (2, 4):
@@ -134,13 +149,17 @@ class LatticeSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LatticeSpec":
-        return cls(
-            active_axes=tuple(as_number(int, a, "active axis") - 1 for a in d["active_axes"]),
-            points=d["points"],
-            period=as_number(float, d["period"], "period"),
-            stencil_order=d.get("stencil_order", 2),
-        )
+    def from_dict(cls, value) -> "LatticeSpec":
+        """The spec of a config or checkpoint-header lattice (1-based axes); ValueError
+        for a value that is not an object, a missing or unknown key or a bad field."""
+        d = as_object(value, "lattice", {f.name for f in fields(cls)},
+                      ("active_axes", "points", "period"))
+        axes = d["active_axes"]
+        if not isinstance(axes, list):
+            raise ValueError(f"active_axes must be a list of axes, got {axes!r}")
+        # read by the number rule before the shift, or True would pass as axis 0
+        return cls(**dict(d, active_axes=tuple(as_number(int, a, "active axis") - 1
+                                               for a in axes)))
 
 
 def grid_coordinates(spec: LatticeSpec) -> list[np.ndarray]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import DIAG_COLUMNS, DiagRecord, FlowState
-from .lattice import LatticeSpec, as_number
+from .lattice import LatticeSpec, as_number, as_object
 
 __all__ = [
     "MAGIC",
@@ -109,9 +109,7 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
     if len(blob) < 16 + hlen:
         raise CheckpointError(f"{path}: truncated header ({len(blob)} bytes in the file)")
     try:
-        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
-        if not isinstance(header, dict):
-            raise TypeError("header is not a JSON object")
+        header = as_object(json.loads(blob[16:16 + hlen].decode("utf-8")), "header")
         spec = LatticeSpec.from_dict(header["lattice"])
         t, step = as_number(float, header["t"], "t"), as_number(int, header["step"], "step")
         if as_number(float, header.get("metric_scale", 1.0), "metric_scale") != 1.0:

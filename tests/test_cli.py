@@ -126,7 +126,7 @@ def _initial(family="rotation-field", **params):
     return {"initial": {"family": family, "params": params, "seed": 1}}
 
 
-@pytest.mark.parametrize("overrides", [
+@pytest.mark.parametrize("overrides, key", [(row, None) for row in [
     _initial("bogus"),
     _initial(profile="square"),
     _initial(eps="abc"),
@@ -182,6 +182,12 @@ def _initial(family="rotation-field", **params):
     {"div_tol": None},
     _initial([1]),
     _initial(profile="bump", center=0.5),
+]] + [
+    (_initial(eps=1e18), "eps"),
+    (_initial(eps=1e20), "eps"),
+    (_initial(profile="bump", width=1e-160), "width"),
+    (_initial(profile="bump", width=1e-200), "width"),
+    (_initial(profile="bump", width=1e200), "width"),
 ], ids=["family", "profile", "eps-text", "eps-list", "axis", "integrator-euler",
         "integrator-rk4", "params-unknown-key", "params-constant", "checkpoint-cadence",
         "max-steps", "blowup-negative", "blowup-inf", "t-end-nan", "t-end-negative",
@@ -194,15 +200,27 @@ def _initial(family="rotation-field", **params):
         "t-end-401-digits", "period-401-digits", "points-7-pib", "sine-width", "bump-mode",
         "n-generators-negative", "kmax-0", "bump-width-0", "period-1e-300", "dt-underflow",
         "period-1e50", "period-1e-50", "cfl-null", "div-tol-null", "family-list",
-        "bump-center-number"])
-def test_bad_config_exits_2_before_the_run(tmp_path, overrides):
+        "bump-center-number", "eps-1e18", "eps-1e20", "bump-width-1e-160",
+        "bump-width-1e-200", "bump-width-1e200"])
+def test_bad_config_exits_2_before_the_run(tmp_path, overrides, key):
+    """`key`, where given, is the key the error message must name."""
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "o"
     proc = run_cli("flow", "run", "--config", cfg, "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    assert key is None or f"{key}: " in proc.stderr
     assert not (out / "manifest.json").exists()
+
+
+def test_large_eps_still_runs(tmp_path):
+    """The rotation-angle bound sits far above the largest eps that yields
+    admissible data: eps 1e6 still runs."""
+    cfg = write_config(tmp_path, dict(_initial(eps=1e6), max_steps=4))
+    proc = run_cli("flow", "run", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_failure_during_the_run_aborts_with_exit_3(tmp_path, monkeypatch, capsys):
@@ -351,6 +369,20 @@ def test_resume_of_rescaled_checkpoint_is_the_rescaled_run(full_run, tmp_path):
     b = read_checkpoint(str(out / "ckpt_00000040.s7fl"))
     assert a.state.phi.tobytes() == b.state.phi.tobytes()
     assert b.state.spec.period == 2.0 and b.state.t == 4.0 * a.state.t
+
+
+def test_rescale_out_of_range_run_exits_2_and_writes_nothing(tmp_path):
+    """c^2 t_end overflows: the rescaled run would embed an infinite t_end,
+    which `flow resume` refuses, so `rescale` refuses it first."""
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, {"t_end": 1e300})
+    assert run_cli("flow", "run", "--config", cfg, "--out", str(out)).returncode == 0
+    resc, report = tmp_path / "resc.s7fl", tmp_path / "report.csv"
+    proc = run_cli("rescale", "--checkpoint", str(out / "ckpt_00000040.s7fl"), "--factor",
+                   "1e5", "--out-checkpoint", str(resc), "--report-csv", str(report))
+    assert proc.returncode == 2, proc.stderr
+    assert "t_end" in proc.stderr and "Traceback" not in proc.stderr
+    assert not resc.exists() and not report.exists()
 
 
 @pytest.mark.parametrize("payload", ["doubled", "noisy"])

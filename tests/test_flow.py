@@ -83,7 +83,7 @@ def test_step_consistency_with_diamond():
     dt = 1e-6
     plus = flow_step(st, dt).phi
     from spin7.orbit import rotate_form, so8_exp
-    minus = rotate_form(so8_exp(-dt * gen, check=False), st.phi)
+    minus = rotate_form(so8_exp(-dt * gen), st.phi)
     fd = (plus - minus) / (2 * dt)
     expected = pack4(diamond(gen, st.phi_dense()))
     assert np.abs(fd - expected).max() < 1e-6 * max(1.0, np.abs(expected).max())
@@ -158,7 +158,7 @@ def test_energy_gradient_stabiliser_direction(rng):
     assert abs(predicted) < 1e-10
     from spin7.orbit import rotate_form, so8_exp
     eps = 1e-5
-    moved = rotate_form(so8_exp(eps * direction, check=False), st.phi)
+    moved = rotate_form(so8_exp(eps * direction), st.phi)
     e0 = energy(spec, t)
     e1 = energy(spec, torsion(spec, moved))
     assert abs(e1 - e0) < 1e-10 * max(1.0, e0)
@@ -647,6 +647,16 @@ def test_run_stops_at_t_end():
 def test_config_requires_a_stop():
     with pytest.raises(ValueError):
         FlowConfig(spec=small_spec(), t_end=None, max_steps=None)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_steps": 2.5}, {"seed": 1.5}, {"diag_cadence": True},
+                                    {"cfl": "0.1"}],
+                         ids=["max-steps-fraction", "seed-fraction", "diag-cadence-bool",
+                              "cfl-text"])
+def test_config_reads_numbers_by_the_config_rule(kwargs):
+    """A FlowConfig built from Python refuses what the JSON config refuses."""
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        FlowConfig(spec=small_spec(), **{"max_steps": 10, **kwargs})
 
 
 def test_fourth_order_flow_run():

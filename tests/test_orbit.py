@@ -197,11 +197,6 @@ def test_exp_taylor_remainder(random_skew):
     assert np.abs(so8_exp(a) - quad).max() < 10 * np.abs(a).max() ** 3
 
 
-def test_exp_rejects_non_skew(rng):
-    with pytest.raises(ValueError):
-        so8_exp(rng.standard_normal((8, 8)))
-
-
 def test_exp_batched(rng):
     a = rng.standard_normal((4, 8, 8))
     a = 0.5 * (a - np.swapaxes(a, -1, -2))
@@ -225,11 +220,6 @@ def test_rotate_group_action(rng):
     sigma = rng.standard_normal(70)
     np.testing.assert_allclose(rotate_form(r1 @ r2, sigma),
                                rotate_form(r1, rotate_form(r2, sigma)), atol=1e-12)
-
-
-def test_rotate_singular_rejected():
-    with pytest.raises(ValueError):
-        rotate_form(np.zeros((8, 8)), PHI0C)
 
 
 def test_rotate_preserves_admissibility(random_skew):

@@ -92,10 +92,12 @@ def _header_of(blob: bytes) -> dict:
     lambda b: _with_header(b, dict(_header_of(b),
                                    lattice=dict(_header_of(b)["lattice"], period=float("inf")))),
     lambda b: b[:-8] + np.float64("nan").tobytes(),            # last payload value NaN
+    lambda b: _with_header(b, dict(_header_of(b),
+                                   lattice=dict(_header_of(b)["lattice"], spacing=0.125))),
 ], ids=["cut-10-bytes", "non-utf8-header", "header-past-eof", "missing-key",
         "bad-lattice", "legacy-metric-scale", "metric-scale-text", "prev-record-not-numbers",
         "prev-record-three-entries", "t-nan", "prev-record-nan", "period-infinity",
-        "payload-nan"])
+        "payload-nan", "header-lattice-unknown-key"])
 def test_checkpoint_corruption_is_typed(tmp_path, state, capsys, corrupt):
     path = str(tmp_path / "c.s7fl")
     write_checkpoint(path, state)
