@@ -172,35 +172,23 @@ def cmd_flow_resume(args) -> int:
                           prev_record=loaded.prev_record)
 
 
-def _load_states(paths):
-    loaded = [storage.read_checkpoint(p) for p in paths]
-    specs = {ld.state.spec for ld in loaded}
-    if len(specs) > 1:
-        raise ConfigError("checkpoints live on incompatible lattices")
-    return [ld.state for ld in loaded]
-
-
 def _parse_center(text: str | None, spec) -> tuple[int, ...]:
+    # theta_functional counts the indices and wraps them; a command line
+    # index outside the grid is refused here instead
     if text is None:
         return (spec.points // 2,) * spec.n_axes
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        parts = ()
-    if len(parts) != spec.n_axes:
-        raise ConfigError(f"--center needs {spec.n_axes} comma-separated indices, got {text!r}")
+        raise ConfigError(f"--center needs comma-separated grid indices, got {text!r}") from None
     if not all(0 <= p < spec.points for p in parts):
         raise ConfigError(f"--center indices must lie in [0, {spec.points}), got {text!r}")
     return parts
 
 
 def cmd_theta(args) -> int:
-    states = _load_states(args.checkpoint)
-    spec = states[0].spec
-    center = _parse_center(args.center, spec)
-    latest = max(st.t for st in states)
-    if not args.t0 > latest:
-        raise ConfigError(f"--t0 {args.t0:g} must exceed every state time (latest {latest:g})")
+    states = [storage.read_checkpoint(p).state for p in args.checkpoint]
+    center = _parse_center(args.center, states[0].spec)
     vals = flow.theta_functional(states, center, args.t0)
     rows = [(st.t, v) for st, v in zip(states, vals)]
     storage.write_series_csv(args.out_csv, rows, ("t", "theta"))
@@ -209,7 +197,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    (state,) = _load_states([args.checkpoint])
+    state = storage.read_checkpoint(args.checkpoint).state
     val = flow.entropy(state, args.sigma, t_samples=args.t_samples, x_stride=args.x_stride)
     storage.write_series_csv(args.out_csv, [(args.sigma, val)], ("sigma", "entropy"))
     print(f"entropy({args.sigma:g}) = {val:.16e} -> {args.out_csv}")
@@ -218,26 +206,19 @@ def cmd_entropy(args) -> int:
 
 def cmd_rescale(args) -> int:
     loaded = storage.read_checkpoint(args.checkpoint)
-    new_state, report = flow.parabolic_rescale(loaded.state, args.factor)
-    c, prev, raw = np.float64(args.factor), loaded.prev_record, loaded.config_dict
-
-    def scaled(what: str, old: float, new) -> float:
-        if not np.isfinite(new) or (new == 0.0 and old != 0.0):
-            raise ConfigError(f"rescale factor {c:g} takes the {what} out of floating-point range")
-        return float(new)
-
+    c, prev, raw = args.factor, loaded.prev_record, loaded.config_dict
+    new_state, report = flow.parabolic_rescale(loaded.state, c)
     # the same run on the larger torus, so that `flow resume` continues it
-    with np.errstate(over="ignore", under="ignore"):
-        if prev is not None:
-            # E is the integral of |T|^2 (scaling c^-2) over a volume scaling c^8
-            prev = (scaled("previous record time", prev[0], c * c * prev[0]),
-                    scaled("previous record energy", prev[1], c**6 * prev[1]))
-        if raw is not None:
-            config = parse_config(raw)
-            raw = dict(raw, lattice=new_state.spec.to_dict(),
-                       div_tol=scaled("div_tol", config.div_tol, config.div_tol / c**2))
-            if config.t_end is not None:
-                raw["t_end"] = scaled("t_end", config.t_end, c * c * config.t_end)
+    if prev is not None:
+        # E is the integral of |T|^2 (scaling c^-2) over a volume scaling c^8
+        prev = (flow.rescaled(c, prev[0], 2, "previous record time"),
+                flow.rescaled(c, prev[1], 6, "previous record energy"))
+    if raw is not None:
+        config = parse_config(raw)
+        raw = dict(raw, lattice=new_state.spec.to_dict(),
+                   div_tol=flow.rescaled(c, config.div_tol, -2, "div_tol"))
+        if config.t_end is not None:
+            raw["t_end"] = flow.rescaled(c, config.t_end, 2, "t_end")
     storage.write_checkpoint(args.out_checkpoint, new_state, prev_record=prev,
                              config_dict=raw)
     if args.report_csv:
@@ -250,7 +231,9 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_soliton_check(args) -> int:
-    (state,) = _load_states([args.checkpoint])
+    if args.x_seed is not None and args.x_seed < 0:
+        raise ConfigError(f"--x-seed must be >= 0, got {args.x_seed}")
+    state = storage.read_checkpoint(args.checkpoint).state
     if args.x_seed is None:
         x_field = np.zeros(state.spec.grid_shape + (8,))
     else:
@@ -261,22 +244,6 @@ def cmd_soliton_check(args) -> int:
     storage.write_series_csv(args.out_csv, [(state.t, residual)], ("t", "residual"))
     print(f"soliton residual at t={state.t:.6g}: {residual:.16e} -> {args.out_csv}")
     return 0
-
-
-def _checked(kind, label, accept):
-    """argparse type: a number of the given kind that `accept` admits."""
-    def parse(text: str):
-        value = kind(text)
-        if not accept(value):
-            raise ValueError(text)
-        return value
-    parse.__name__ = f"{label} {kind.__name__}"  # argparse names it in the error
-    return parse
-
-
-def _positive(kind):
-    """argparse type: a finite number of the given kind above zero."""
-    return _checked(kind, "positive", lambda v: 0 < v < float("inf"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,31 +268,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     th = sub.add_parser("theta", help="localized torsion functional over checkpoints")
     th.add_argument("--checkpoint", nargs="+", required=True)
-    th.add_argument("--t0", type=_checked(float, "finite", lambda v: abs(v) < float("inf")),
-                    required=True)
+    th.add_argument("--t0", type=float, required=True)
     th.add_argument("--center", default=None, help="grid indices, comma-separated")
     th.add_argument("--out-csv", required=True)
     th.set_defaults(func=cmd_theta)
 
     en = sub.add_parser("entropy", help="scale-maximized torsion concentration")
     en.add_argument("--checkpoint", required=True)
-    en.add_argument("--sigma", type=_positive(float), required=True)
-    en.add_argument("--t-samples", type=_positive(int), default=16)
-    en.add_argument("--x-stride", type=_positive(int), default=1)
+    en.add_argument("--sigma", type=float, required=True)
+    en.add_argument("--t-samples", type=int, default=16)
+    en.add_argument("--x-stride", type=int, default=1)
     en.add_argument("--out-csv", required=True)
     en.set_defaults(func=cmd_entropy)
 
     rs = sub.add_parser("rescale", help="parabolic rescaling with exactness report")
     rs.add_argument("--checkpoint", required=True)
-    rs.add_argument("--factor", type=_positive(float), required=True)
+    rs.add_argument("--factor", type=float, required=True)
     rs.add_argument("--out-checkpoint", required=True)
     rs.add_argument("--report-csv", default=None)
     rs.set_defaults(func=cmd_rescale)
 
     so = sub.add_parser("soliton-check", help="stationary-soliton residual")
     so.add_argument("--checkpoint", required=True)
-    so.add_argument("--x-seed", type=_checked(int, "non-negative", lambda v: v >= 0),
-                    default=None,
+    so.add_argument("--x-seed", type=int, default=None,
                     help="seed for a constant random vector field (default: zero field)")
     so.add_argument("--out-csv", required=True)
     so.set_defaults(func=cmd_soliton_check)

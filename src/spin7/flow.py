@@ -45,6 +45,7 @@ __all__ = [
     "soliton_schedule",
     "soliton_residual",
     "parabolic_rescale",
+    "rescaled",
     "convexity_gap",
     "fit_type1_exponent",
     "DIAG_COLUMNS",
@@ -460,14 +461,20 @@ def quartic_terms(t_field: np.ndarray) -> np.ndarray:
     return 16.0 * (q1 + q2)
 
 
+def _one_lattice(states) -> LatticeSpec:
+    """The lattice of one or more `states`; ValueError when they do not share one."""
+    spec, *others = {st.spec for st in states}
+    if others:
+        raise ValueError(f"states live on {1 + len(others)} incompatible lattices")
+    return spec
+
+
 def torsion_evolution_residual(prev: FlowState, mid: FlowState, nxt: FlowState) -> float:
     """Max-norm residual of the flat-torus |T|^2 evolution equation
     2 d|T|^2/dt = 2 lap |T|^2 - 4 |grad T|^2 + quartic terms,
     with the time derivative by central difference across three states.
     """
-    spec = mid.spec
-    if prev.spec != spec or nxt.spec != spec:
-        raise ValueError("states live on different lattices")
+    spec = _one_lattice((prev, mid, nxt))
     t_prev, t_field, t_next = (evaluate(st).t_field for st in (prev, mid, nxt))
     tsq = [lattice.torsion_norm_sq(tf) for tf in (t_prev, t_field, t_next)]
     dt_minus, dt_plus = mid.t - prev.t, nxt.t - mid.t
@@ -483,15 +490,22 @@ def torsion_evolution_residual(prev: FlowState, mid: FlowState, nxt: FlowState) 
 
 def theta_functional(states, center: tuple[int, ...], t0: float) -> np.ndarray:
     """(t0 - t) * integral of |T|^2 against the backward heat kernel,
-    one value per state; requires every state time below t0."""
+    one value per state.
+
+    Raises ValueError when t0 is not a finite number (`as_number`) or not
+    above every state time, when the states do not share one lattice, or
+    when `center` does not give one grid index per active axis."""
+    t0 = as_number(float, t0, "t0")
+    spec = _one_lattice(states)
+    latest = max(st.t for st in states)
+    if not t0 > latest:
+        raise ValueError(f"t0: {t0:g} must exceed every state time (latest {latest:g})")
+    c = center_index(spec, center)
     out = []
     for st in states:
         tau = t0 - st.t
-        if tau <= 0:
-            raise ValueError(f"state time {st.t} is not below the horizon {t0}")
-        c = center_index(st.spec, center)
         tsq = lattice.torsion_norm_sq(evaluate(st).t_field)
-        out.append(tau * float(heat_average(st.spec, tsq, tau)[c]))
+        out.append(tau * float(heat_average(spec, tsq, tau)[c]))
     return np.array(out)
 
 
@@ -501,10 +515,14 @@ def entropy(state: FlowState, sigma: float, t_samples: int = 16, x_stride: int =
     under sampling refinement.  The centers are every x_stride-th grid
     point per axis, the scales sigma * 2^-j for j < t_samples.
 
-    Raises ValueError when sigma is not positive, when t_samples or
-    x_stride is below 1, or when the smallest scale underflows to 0."""
+    Raises ValueError when sigma is not a finite positive number, when
+    t_samples or x_stride is not an integer of at least 1 (numbers are read
+    by `as_number`), or when the smallest scale underflows to 0."""
+    sigma = as_number(float, sigma, "sigma")
+    t_samples = as_number(int, t_samples, "t_samples")
+    x_stride = as_number(int, x_stride, "x_stride")
     if not sigma > 0:
-        raise ValueError("sigma must be positive")
+        raise ValueError(f"sigma: must be positive, got {sigma:g}")
     if t_samples < 1 or x_stride < 1:
         raise ValueError(f"t_samples and x_stride must be at least 1 "
                          f"(t_samples {t_samples}, x_stride {x_stride})")
@@ -605,11 +623,12 @@ def convexity_gap(states):
     nonzero eigenvalue of the rough Laplacian on 2-forms; on the flat torus
     Lam = (2 pi / L)^2 for the lowest mode.
 
-    Takes three consecutive states; returns (lhs, rhs, gap) with
-    gap = lhs - rhs (nonnegative when the bound holds).
+    Takes three consecutive states on one lattice (else ValueError);
+    returns (lhs, rhs, gap) with gap = lhs - rhs (nonnegative when the
+    bound holds).
     """
     prev, mid, nxt = states
-    spec = mid.spec
+    spec = _one_lattice(states)
     lowest_eigenvalue = (2.0 * np.pi / spec.period) ** 2
     ev = evaluate(mid)
     e_prev, e_next = (lattice.energy(spec, evaluate(st).t_field) for st in (prev, nxt))
@@ -641,32 +660,38 @@ def fit_type1_exponent(times, sup_torsion, blowup_time: float):
 # ---------------------------------------------------------------------------
 # parabolic rescaling
 
+def rescaled(c: float, value, power: int, what: str):
+    """`value * c^power` in float64 (a float for a scalar `value`), dividing
+    by c^-power for a negative power; ValueError, naming `what`, when the
+    result is not finite or a nonzero value goes to 0."""
+    with np.errstate(all="ignore"):
+        scale = np.float64(c) ** abs(power)
+        new = value * scale if power >= 0 else value / scale
+    if not np.all(np.isfinite(new) & ((new != 0) | (value == 0))):
+        raise ValueError(f"rescale factor {c:g} takes the {what} out of floating-point range")
+    return new if isinstance(new, np.ndarray) else float(new)
+
+
 def parabolic_rescale(state: FlowState, c: float):
     """Rescaled state (same components on period c L, t -> c^2 t) plus the
     relative errors of T -> T/c, Div T -> Div T/c^2 and, for j = 0, 1,
     |grad^j T| -> |grad^j T|/c^(1+j); the metric c^2 g on period L is the
     identity metric on period c L in the coordinates y = c x.
 
-    Raises ValueError when c is not positive, or when it takes the rescaled
-    period or time or an expected report value to infinity, or a nonzero
-    one to 0."""
+    Raises ValueError when c is not a finite positive number (`as_number`),
+    or when `rescaled` refuses the period, the time or an expected report
+    value."""
+    c = as_number(float, c, "rescale factor")
     if not c > 0:
-        raise ValueError("rescale factor must be positive")
+        raise ValueError(f"rescale factor must be positive, got {c:g}")
     t_old, div_old = evaluate(state)
     gt_old = lattice.fd_gradient_generic(state.spec, t_old)
-    # value and power p of everything the factor scales by c^-p: the report's
-    # expectations, the period and the time
-    scaled = {"torsion_scaling": (t_old, 1), "divergence_scaling": (div_old, 2),
-              "norm_scaling_j0": (np.linalg.norm(t_old), 1),
-              "norm_scaling_j1": (np.linalg.norm(gt_old), 2),
-              "period": (state.spec.period, -1), "time": (state.t, -2)}
-    with np.errstate(all="ignore"):
-        expected = {key: val / np.float64(c) ** power for key, (val, power) in scaled.items()}
-    for key, (val, _) in scaled.items():
-        if not np.all(np.isfinite(expected[key]) & ((expected[key] != 0) | (val == 0))):
-            raise ValueError(f"rescale factor {c:g} takes the {key} out of floating-point range")
-    new = FlowState(spec=replace(state.spec, period=c * state.spec.period),
-                    phi=state.phi, t=c * c * state.t, step=state.step)
+    expected = {key: rescaled(c, val, -power, key) for key, val, power in (
+        ("torsion_scaling", t_old, 1), ("divergence_scaling", div_old, 2),
+        ("norm_scaling_j0", np.linalg.norm(t_old), 1),
+        ("norm_scaling_j1", np.linalg.norm(gt_old), 2))}
+    new = FlowState(spec=replace(state.spec, period=rescaled(c, state.spec.period, 1, "period")),
+                    phi=state.phi, t=rescaled(c, state.t, 2, "time"), step=state.step)
     t_new, div_new = evaluate(new)
     gt_new = lattice.fd_gradient_generic(new.spec, t_new)
 

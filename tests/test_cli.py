@@ -385,6 +385,27 @@ def test_rescale_out_of_range_run_exits_2_and_writes_nothing(tmp_path):
     assert not resc.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("factor", ["3", "0.7", "12.5"])
+def test_rescaled_run_embeds_the_scaled_settings(tmp_path, factor):
+    """Off powers of two the products round: the rescaled checkpoint embeds
+    c^2 t_end, div_tol / c^2 and the previous record (c^2 t, c^6 E), each
+    one float64 expression of the factor."""
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, {"t_end": 0.1, "div_tol": 3e-9})
+    assert run_cli("flow", "run", "--config", cfg, "--out", str(out)).returncode == 0
+    src = read_checkpoint(str(out / "ckpt_00000020.s7fl"))
+    resc = tmp_path / "resc.s7fl"
+    proc = run_cli("rescale", "--checkpoint", str(out / "ckpt_00000020.s7fl"),
+                   "--factor", factor, "--out-checkpoint", str(resc))
+    assert proc.returncode == 0, proc.stderr
+    got, c = read_checkpoint(str(resc)), np.float64(factor)
+    (t, e) = src.prev_record
+    assert got.config_dict["t_end"] == c * c * 0.1
+    assert got.config_dict["div_tol"] == 3e-9 / c**2
+    assert got.prev_record == (c * c * t, c**6 * e)
+    assert got.state.t == c * c * src.state.t
+
+
 @pytest.mark.parametrize("payload", ["doubled", "noisy"])
 def test_resume_refuses_a_form_off_the_orbit(full_run, tmp_path, payload):
     """`2 Phi` induces the metric sqrt(2) I (drift 0.414), and a noisy form
@@ -420,28 +441,29 @@ def test_soliton_check_on_rescaled_checkpoint(full_run, tmp_path):
     assert residuals[1] == 0.25 * residuals[0]
 
 
-@pytest.mark.parametrize("args", [
-    ["entropy", "--sigma", "-1"],
-    ["entropy", "--sigma", "0.01", "--t-samples", "0"],
-    ["entropy", "--sigma", "0.01", "--x-stride", "0"],
-    ["rescale", "--factor", "0", "--out-checkpoint", "{tmp}/r.s7fl"],
-    ["rescale", "--factor", "nan", "--out-checkpoint", "{tmp}/r.s7fl"],
-    ["rescale", "--factor", "1e200", "--out-checkpoint", "{tmp}/r.s7fl"],
-    ["rescale", "--factor", "1e-200", "--out-checkpoint", "{tmp}/r.s7fl"],
-    ["theta", "--t0", "{t}"],
-    ["theta", "--t0", "0"],
-    ["theta", "--t0", "1.0", "--center", "a"],
-    ["theta", "--t0", "1.0", "--center", "99"],
-    ["theta", "--t0", "1.0", "--center", "-1"],
-    ["soliton-check", "--x-seed", "-1"],
-    ["entropy", "--sigma", "0.01", "--t-samples", "2000"],
-    ["theta", "--t0", "inf"],
+@pytest.mark.parametrize("args, names", [
+    (["entropy", "--sigma", "-1"], ("sigma",)),
+    (["entropy", "--sigma", "0.01", "--t-samples", "0"], ("t-samples", "t_samples")),
+    (["entropy", "--sigma", "0.01", "--x-stride", "0"], ("x-stride", "x_stride")),
+    (["rescale", "--factor", "0", "--out-checkpoint", "{tmp}/r.s7fl"], ("factor",)),
+    (["rescale", "--factor", "nan", "--out-checkpoint", "{tmp}/r.s7fl"], ("factor",)),
+    (["rescale", "--factor", "1e200", "--out-checkpoint", "{tmp}/r.s7fl"], ("factor",)),
+    (["rescale", "--factor", "1e-200", "--out-checkpoint", "{tmp}/r.s7fl"], ("factor",)),
+    (["theta", "--t0", "{t}"], ("t0",)),
+    (["theta", "--t0", "0"], ("t0",)),
+    (["theta", "--t0", "1.0", "--center", "a"], ("center",)),
+    (["theta", "--t0", "1.0", "--center", "99"], ("center",)),
+    (["theta", "--t0", "1.0", "--center", "-1"], ("center",)),
+    (["soliton-check", "--x-seed", "-1"], ("x-seed",)),
+    (["entropy", "--sigma", "0.01", "--t-samples", "2000"], ("t-samples", "t_samples")),
+    (["theta", "--t0", "inf"], ("t0",)),
 ], ids=["entropy-sigma", "entropy-t-samples", "entropy-x-stride", "rescale-factor-0",
         "rescale-factor-nan", "rescale-factor-overflow", "rescale-factor-underflow",
         "theta-t0-at-state", "theta-t0-below-state",
         "theta-center", "theta-center-out-of-range", "theta-center-negative",
         "soliton-x-seed-negative", "entropy-scale-underflow", "theta-t0-inf"])
-def test_bad_arguments_exit_2(full_run, tmp_path, args):
+def test_bad_arguments_exit_2(full_run, tmp_path, args, names):
+    """Refused before anything is written, with the argument named on stderr."""
     ck = str(full_run / "ckpt_00000040.s7fl")
     t = repr(read_checkpoint(ck).state.t)
     args = [a.format(tmp=tmp_path, t=t) for a in args]
@@ -450,6 +472,8 @@ def test_bad_arguments_exit_2(full_run, tmp_path, args):
     proc = run_cli(*args, "--checkpoint", ck)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert any(name in proc.stderr for name in names), proc.stderr
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "r.s7fl").exists()
 
 
 def test_soliton_check_matches_divergence(full_run, tmp_path):

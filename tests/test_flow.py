@@ -378,6 +378,32 @@ def test_theta_matches_the_weights_and_wraps_the_centre():
         assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
+def _on_16_and_8_points():
+    """A state on 16 points at t = 0 and one on 8 points at t = 1e-3."""
+    a = initial_data("rotation-field", {"eps": 0.05}, small_spec(16), seed=1)
+    b = initial_data("rotation-field", {"eps": 0.05}, small_spec(8), seed=1)
+    return a, replace(b, t=1e-3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda st: entropy(st, float("inf")), "sigma"),
+    (lambda st: entropy(st, 0.01, t_samples=2.5), "t_samples"),
+    (lambda st: entropy(st, 0.01, x_stride=True), "x_stride"),
+    (lambda st: theta_functional([st], (8,), t0=float("inf")), "t0"),
+    (lambda st: theta_functional(_on_16_and_8_points(), (4,), t0=1.0), "incompatible"),
+    (lambda st: parabolic_rescale(st, True), "rescale factor"),
+    (lambda st: convexity_gap((*_on_16_and_8_points(), replace(st, t=2e-3))), "incompatible"),
+], ids=["entropy-sigma-inf", "entropy-t-samples-fraction", "entropy-x-stride-bool",
+        "theta-t0-inf", "theta-mixed-lattices", "rescale-factor-bool",
+        "convexity-gap-mixed-lattices"])
+def test_analysis_functions_check_their_arguments(call, message):
+    """Called from Python, the analysis functions refuse what the command
+    line refuses: numbers by `lattice.as_number`, states on two lattices."""
+    st = initial_data("rotation-field", {"eps": 0.05}, small_spec(), seed=1)
+    with pytest.raises(ValueError, match=message):
+        call(st)
+
+
 # ---------------------------------------------------------------------------
 # solitons
 
