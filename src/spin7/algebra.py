@@ -10,10 +10,11 @@ Dense index conventions:
     endo     A[..., i, j]             row = covariant slot, column = contraction
 
 Canonical (deduplicated) storage keeps ascending-index components only:
-56 entries for 3-forms, 70 for 4-forms; `pack4`/`unpack4` convert.  The
-flow-step kernels (`pi7`, `pi21`, `endo_split`, `orbit.rotate_form` and
-`lattice.torsion`) take canonical 4-forms and contract them through two
-gathered matrices, with zeros where an index repeats:
+56 entries for 3-forms, 70 for 4-forms; `pack4`/`unpack4` convert.  Only the
+identity kernels (`diamond`, `lambda_op`, `decompose4`, `triple_contract`,
+`decompose3`, `hodge_star4`, `form_inner`) and `metric_from_form` take dense
+4-forms.  The flow-step kernels (`pi7`, `pi21`, `endo_split`, `lattice.torsion`,
+`orbit.rotate_form`) contract canonical ones through two gathered matrices:
 
     slot matrix   S[..., a, t] = phi[a, t]           8 x 56, t an ascending triple
     pair matrix   P[..., p, q] = phi[a, b, c, d]     28 x 28, p = (a<b), q = (c<d)
@@ -21,9 +22,9 @@ gathered matrices, with zeros where an index repeats:
 P is symmetric, and it is the matrix of phi acting on 2-forms.
 
 The reference Cayley form is built from octonion multiplication,
-Phi0(x,y,z,w) = <x, y (conj(z) w)>, antisymmetrized.  Its normalization is
-pinned by the contraction identities (full self-contraction 336, triple
-contraction 42 g) which the test suite checks to 1e-12.
+Phi0(x,y,z,w) = <x, y (conj(z) w)>, antisymmetrized: `PHI0` dense, `PHI0C`
+canonical.  Its normalization is pinned by the contraction identities (full
+self-contraction 336, triple contraction 42 g), checked to 1e-12.
 """
 
 from __future__ import annotations
@@ -172,8 +173,10 @@ def _build_cayley(table: np.ndarray = OCT_TABLE) -> np.ndarray:
     return dense
 
 
-#: The reference Cayley 4-form (dense, read-only).
+#: The reference Cayley 4-form, dense and in canonical storage (both read-only).
 PHI0 = _build_cayley()
+PHI0C = PHI0[_GATHER4]
+PHI0C.setflags(write=False)
 
 #: Eigenvalues of lambda_op on the four irreducible 4-form summands,
 #: keyed by summand dimension.

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra, lattice, orbit
-from .algebra import metric_from_form, pi7, pi21, unpack4, pack4
+from .algebra import metric_from_form, pi7, pi21, unpack4
 from .heat import center_index, heat_average
 from .lattice import LatticeSpec, as_number, as_object
 
@@ -145,7 +145,7 @@ DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))
 
 def _pi7_unit_generator(rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((8, 8))
-    a = pi7(a - a.T, pack4(algebra.PHI0))
+    a = pi7(a - a.T, algebra.PHI0C)
     return a / np.sqrt(np.sum(a * a))
 
 
@@ -228,14 +228,13 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
         read, where = _PROFILE_PARAMS[profile], f"{family!r} with profile {profile!r}"
     as_object(params, f"params of {where}", read)
     rng = np.random.default_rng(seed)
-    phi0c = pack4(algebra.PHI0)
     if family == "constant":
-        phi = np.broadcast_to(phi0c, spec.grid_shape + (70,)).copy()
+        phi = np.broadcast_to(algebra.PHI0C, spec.grid_shape + (70,)).copy()
     elif family == "rotation-field":
         gen = _pi7_unit_generator(rng)
         theta = _profile(spec, profile, params)
         rot = orbit.so8_exp(theta[..., None, None] * gen)
-        phi = orbit.rotate_form(rot, phi0c)
+        phi = orbit.rotate_form(rot, algebra.PHI0C)
     elif family == "bryant-wave":
         u = rng.standard_normal(8)
         u[0] = 0.0
@@ -244,7 +243,7 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
         s = _profile(spec, "sine", {"eps": 0.5, **params})
         f = np.cos(s)
         xvec = np.sin(s)[..., None] * u
-        phi = pack4(orbit.bryant_form(f, xvec))
+        phi = orbit.bryant_form(f, xvec)
     elif family == "random-smooth":
         kmax = as_number(int, params.get("kmax", 2), "kmax")
         n_gen = as_number(int, params.get("n_generators", 3), "n_generators")
@@ -261,7 +260,7 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
                 k = int(rng.integers(1, kmax + 1))
                 phase = phase + 2.0 * np.pi * k * x / spec.period + rng.uniform(0, 2 * np.pi)
             a_field = a_field + (eps * np.sin(phase))[..., None, None] * gen
-        phi = orbit.rotate_form(orbit.so8_exp(a_field), phi0c)
+        phi = orbit.rotate_form(orbit.so8_exp(a_field), algebra.PHI0C)
     state = FlowState(spec=spec, phi=phi)
     require_admissible(state, "initial data")
     return state
@@ -424,7 +423,7 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
             emit(state, ev)
         if config.checkpoint_cadence and state.step % config.checkpoint_cadence == 0:
             take_checkpoint(state)
-    if not records or records[-1].t != state.t:
+    if prev is None or prev[0] != state.t:    # a resumed prev_record may be this state's
         emit(state, ev)
     take_checkpoint(state)
     return RunResult(records=records, state=state, exit_reason=exit_reason)
@@ -526,10 +525,10 @@ def entropy(state: FlowState, sigma: float, t_samples: int = 16, x_stride: int =
     if t_samples < 1 or x_stride < 1:
         raise ValueError(f"t_samples and x_stride must be at least 1 "
                          f"(t_samples {t_samples}, x_stride {x_stride})")
-    taus = sigma * np.power(2.0, -np.arange(t_samples, dtype=float)[::-1])
-    if not np.all(taus > 0):
+    if not sigma * 2.0 ** (1 - t_samples) > 0:    # tested before the scales are allocated
         raise ValueError(f"the smallest scale sigma * 2^(1 - t_samples) underflows to 0 "
                          f"(sigma {sigma:g}, t_samples {t_samples})")
+    taus = sigma * np.power(2.0, -np.arange(t_samples, dtype=float)[::-1])
     spec = state.spec
     tsq = lattice.torsion_norm_sq(evaluate(state).t_field)
     centers = (slice(0, max(1, spec.points // x_stride) * x_stride, x_stride),) * spec.n_axes

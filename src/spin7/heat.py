@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, as_number
 
 __all__ = ["periodized_gaussian_1d", "center_index", "heat_weights", "heat_average"]
 
@@ -54,10 +54,10 @@ def _kernel_rows(spec: LatticeSpec, tau: float) -> np.ndarray:
 
 
 def center_index(spec: LatticeSpec, center: tuple[int, ...]) -> tuple[int, ...]:
-    """One grid index per active axis, wrapped into [0, N)."""
+    """One grid index per active axis, each read by `as_number`, wrapped into [0, N)."""
     if len(center) != spec.n_axes:
         raise ValueError("center must give one grid index per active axis")
-    return tuple(int(c) % spec.points for c in center)
+    return tuple(as_number(int, c, "center") % spec.points for c in center)
 
 
 def heat_weights(spec: LatticeSpec, center: tuple[int, ...], tau: float) -> np.ndarray:

@@ -3,14 +3,14 @@
 `rotate_form`/`so8_exp` realize the frame-change action used by the flow
 integrator.  `bryant_form` parametrizes the isometric forms by a point
 (f, X) on the unit sphere, via the 4-form component of the spinor square
-psi (x) psi with psi = f + X.
+psi (x) psi with psi = f + X.  Every map returns canonical (...,70) 4-forms.
 
 Conventions pinned here (see README.md for the full note):
 
-* theta_form(X) carries the values Phi0(e_i X, e_j, e_k, e_l) on ascending
-  index quadruples, extended antisymmetrically.  With this reading it lies
-  exactly in the 7-summand of 4-forms for imaginary X, as an isometric
-  deformation direction must.
+* theta_form(X) stores Phi0(e_i X, e_j, e_k, e_l) on ascending index
+  quadruples; the 4-form they fix by antisymmetry lies exactly in the
+  7-summand of 4-forms for imaginary X, as an isometric deformation
+  direction must.
 
 * The quadratic term of the spinor square is NOT a multiple of
   X ^ (X . Phi0).  The identity that actually holds, to machine precision
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _GATHER2, _GATHER4, _P_CANON, PHI0, QUADS, pair_matrix, unpack4
+from .algebra import _GATHER2, _GATHER4, _P_CANON, PHI0, PHI0C, QUADS, pair_matrix
 from .octonion import OCT_TABLE, right_mult_matrix
 
 __all__ = [
@@ -51,8 +51,7 @@ _THETA_TABLE = np.einsum("imp,pjkl->ijklm", OCT_TABLE, PHI0)[_GATHER4]
 
 def theta_form(x: np.ndarray) -> np.ndarray:
     """4-form with components Phi0(e_i x, e_j, e_k, e_l) on ascending quadruples."""
-    canon = np.einsum("cm,...m->...c", _THETA_TABLE, np.asarray(x, dtype=float))
-    return unpack4(canon)
+    return np.einsum("cm,...m->...c", _THETA_TABLE, np.asarray(x, dtype=float))
 
 
 def spinor_square4(psi: np.ndarray) -> np.ndarray:
@@ -71,7 +70,7 @@ def spinor_square4(psi: np.ndarray) -> np.ndarray:
         v = np.einsum("jp,...j->...p", OCT_TABLE[j], v)
         v = np.einsum("a,ajp,...j->...p", conj @ eye[i], OCT_TABLE, v)
         canon[..., c] = np.einsum("...p,...p->...", v, psi)
-    return unpack4(canon)
+    return canon
 
 
 def bryant_form(f, x: np.ndarray) -> np.ndarray:
@@ -92,14 +91,13 @@ def bryant_form(f, x: np.ndarray) -> np.ndarray:
     if np.any(err > 1e-12):
         raise ValueError(
             f"(f, x) violates the unit-sphere constraint by {float(np.max(err)):.3e}")
+    # K(X) on the ascending quadruples (i, j, k, l), from M at their six pairs
+    i, j, k, l = _GATHER4
     m = right_mult_matrix(xim)
-    k = (np.einsum("...ij,...kl->...ijkl", m, m)
-         - np.einsum("...ik,...jl->...ijkl", m, m)
-         + np.einsum("...il,...jk->...ijkl", m, m))
-    out = ((f_eff**2 - n2)[..., None, None, None, None] * PHI0
-           + 2.0 * f_eff[..., None, None, None, None] * theta_form(xim)
-           - 2.0 * k)
-    return out
+    k_form = (m[..., i, j] * m[..., k, l] - m[..., i, k] * m[..., j, l]
+              + m[..., i, l] * m[..., j, k])
+    return ((f_eff**2 - n2)[..., None] * PHI0C + 2.0 * f_eff[..., None] * theta_form(xim)
+            - 2.0 * k_form)
 
 
 def so8_exp(a: np.ndarray) -> np.ndarray:

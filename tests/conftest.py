@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from spin7.algebra import PHI0, pack4, pi7, unpack4
+from spin7.algebra import PHI0C, pi7, unpack4
 from spin7.orbit import rotate_form, so8_exp
-
-PHI0C = pack4(PHI0)    # the reference form in canonical storage
 
 
 @pytest.fixture

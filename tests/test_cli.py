@@ -427,6 +427,37 @@ def test_resume_refuses_a_form_off_the_orbit(full_run, tmp_path, payload):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("embedded, message", [
+    ("none", "config error: checkpoint carries no run config"),
+    ("other-lattice", "config error: checkpoint lattice disagrees with its embedded config"),
+], ids=["no-config", "other-lattice"])
+def test_resume_refuses_a_checkpoint_without_its_run_config(full_run, tmp_path, embedded,
+                                                            message):
+    loaded = read_checkpoint(str(full_run / "ckpt_00000020.s7fl"))
+    config = None
+    if embedded == "other-lattice":
+        config = {**loaded.config_dict, "lattice": {**SMALL_CONFIG["lattice"], "points": 8}}
+    bad = tmp_path / "bad.s7fl"
+    write_checkpoint(str(bad), loaded.state, prev_record=loaded.prev_record, config_dict=config)
+    out = tmp_path / "out"
+    proc = run_cli("flow", "resume", "--checkpoint", str(bad), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
+
+
+def test_resume_of_the_last_checkpoint_records_nothing(full_run, tmp_path):
+    """The last checkpoint of a finished run carries its final record as
+    prev_record; resumed, it takes no step and records nothing again."""
+    out = tmp_path / "resumed"
+    proc = run_cli("flow", "resume", "--checkpoint", str(full_run / "ckpt_00000040.s7fl"),
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "(40 steps, 0 records)" in proc.stdout
+    header = (full_run / "series.csv").read_text().splitlines()[0]
+    assert (out / "series.csv").read_text().splitlines() == [header]
+
+
 def test_soliton_check_on_rescaled_checkpoint(full_run, tmp_path):
     ck = str(full_run / "ckpt_00000040.s7fl")
     resc = str(tmp_path / "resc.s7fl")

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -393,15 +394,33 @@ def _on_16_and_8_points():
     (lambda st: theta_functional(_on_16_and_8_points(), (4,), t0=1.0), "incompatible"),
     (lambda st: parabolic_rescale(st, True), "rescale factor"),
     (lambda st: convexity_gap((*_on_16_and_8_points(), replace(st, t=2e-3))), "incompatible"),
+    (lambda st: theta_functional([st], (1.5,), t0=1.0), "center"),
+    (lambda st: theta_functional([st], (True,), t0=1.0), "center"),
+    (lambda st: theta_functional([st], ("3",), t0=1.0), "center"),
 ], ids=["entropy-sigma-inf", "entropy-t-samples-fraction", "entropy-x-stride-bool",
         "theta-t0-inf", "theta-mixed-lattices", "rescale-factor-bool",
-        "convexity-gap-mixed-lattices"])
+        "convexity-gap-mixed-lattices", "theta-center-fraction", "theta-center-bool",
+        "theta-center-string"])
 def test_analysis_functions_check_their_arguments(call, message):
     """Called from Python, the analysis functions refuse what the command
     line refuses: numbers by `lattice.as_number`, states on two lattices."""
     st = initial_data("rotation-field", {"eps": 0.05}, small_spec(), seed=1)
     with pytest.raises(ValueError, match=message):
         call(st)
+
+
+def test_entropy_refuses_an_underflowing_scale_before_it_allocates():
+    """The smallest scale sigma * 2^(1 - t_samples) is tested before the
+    t_samples scales are built (4,000,000 of them would take 61 MiB)."""
+    st = initial_data("rotation-field", {"eps": 0.05}, small_spec(), seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="underflows"):
+            entropy(st, 0.01, t_samples=4_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -96,15 +96,20 @@ def test_gradient_convergence_order(order):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_laplacian_convergence(order):
-    errs = []
-    for n in (16, 32, 64):
-        spec = LatticeSpec(active_axes=(0,), points=n, stencil_order=order)
-        x = grid_coordinates(spec)[0]
-        w = 2 * np.pi / spec.period
-        field = np.sin(w * x)
-        errs.append(np.abs(fd_laplacian(spec, field) + w * w * field).max())
-    for p in observed_order(errs):
-        assert abs(p - order) < 0.2
+    """On 1, 2 and 3 axes: a product of sines, sin(k_a w x_a + a) over the
+    axes a, has the Laplacian -w^2 sum(k_a^2) times itself."""
+    for modes in ((1,), (1, 2), (1, 2, 1)):
+        errs = []
+        for n in (16, 32, 64):
+            spec = LatticeSpec(active_axes=tuple(range(len(modes))), points=n,
+                               stencil_order=order)
+            w = 2 * np.pi / spec.period
+            field = np.prod([np.sin(k * w * x + a) for a, (k, x)
+                             in enumerate(zip(modes, grid_coordinates(spec)))], axis=0)
+            exact = -w * w * sum(k * k for k in modes) * field
+            errs.append(np.abs(fd_laplacian(spec, field) - exact).max())
+        for p in observed_order(errs):
+            assert abs(p - order) < 0.2
 
 
 # ---------------------------------------------------------------------------

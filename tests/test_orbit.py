@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,24 +50,24 @@ def test_theta_odd_and_linear(rng):
 
 
 def test_theta_matches_brute_force_oracle():
-    np.testing.assert_allclose(theta_form(I8[1]), brute_force_theta(I8[1]), atol=1e-14)
+    np.testing.assert_allclose(unpack4(theta_form(I8[1])), brute_force_theta(I8[1]), atol=1e-14)
 
 
 def test_theta_random_matches_oracle(rng):
     x = rng.standard_normal(8)
-    np.testing.assert_allclose(theta_form(x), brute_force_theta(x), atol=1e-13)
+    np.testing.assert_allclose(unpack4(theta_form(x)), brute_force_theta(x), atol=1e-13)
 
 
 def test_theta_is_isometric_direction(rng):
     x = rng.standard_normal(8)
     x[0] = 0.0
-    th = theta_form(x)
+    th = unpack4(theta_form(x))
     # exactly in the 7-summand: eigenvalue -12 under the equivariant operator
     np.testing.assert_allclose(lambda_op(th, PHI0), -12 * th, atol=1e-12)
 
 
 def test_theta_of_real_unit_is_cayley():
-    np.testing.assert_allclose(theta_form(I8[0]), PHI0, atol=1e-14)
+    np.testing.assert_allclose(unpack4(theta_form(I8[0])), PHI0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +75,8 @@ def test_theta_of_real_unit_is_cayley():
 
 
 def test_bryant_reference_points():
-    np.testing.assert_allclose(bryant_form(1.0, np.zeros(8)), PHI0, atol=1e-14)
-    np.testing.assert_allclose(bryant_form(-1.0, np.zeros(8)), PHI0, atol=1e-14)
+    np.testing.assert_allclose(unpack4(bryant_form(1.0, np.zeros(8))), PHI0, atol=1e-14)
+    np.testing.assert_allclose(unpack4(bryant_form(-1.0, np.zeros(8))), PHI0, atol=1e-14)
 
 
 def test_bryant_antipodal_identification(rng):
@@ -102,7 +103,7 @@ def test_bryant_isometric(rng):
     psi = rng.standard_normal(8)
     psi /= np.linalg.norm(psi)
     f, x = psi[0], np.concatenate([[0.0], psi[1:]])
-    phi = bryant_form(f, x)
+    phi = unpack4(bryant_form(f, x))
     np.testing.assert_allclose(metric_from_form(phi), I8, atol=1e-8)
     assert abs(np.sum(phi * phi) - 336.0) < 1e-10
 
@@ -111,7 +112,7 @@ def test_bryant_equator_admissible(rng):
     x = rng.standard_normal(8)
     x[0] = 0.0
     x /= np.linalg.norm(x)
-    phi = bryant_form(0.0, x)
+    phi = unpack4(bryant_form(0.0, x))
     np.testing.assert_allclose(metric_from_form(phi), I8, atol=1e-8)
     # eigen-structure of an admissible form: the form spans its own 1-summand
     parts = decompose4(phi, phi)
@@ -122,8 +123,25 @@ def test_bryant_folds_real_slot(rng):
     # the first slot of x adds to f; admissibility governs the combined spinor
     x = np.zeros(8)
     x[0] = 0.3
-    phi = bryant_form(0.7, x)
+    phi = unpack4(bryant_form(0.7, x))
     np.testing.assert_allclose(phi, PHI0, atol=1e-13)
+
+
+def test_spinor_square_stays_canonical(rng):
+    """The square of 1024 unit spinors is built on the 70 stored components:
+    no dense 8^4 array per point (that alone would take 32 MiB)."""
+    psi = rng.standard_normal((1024, 8))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    f, x = psi[:, 0], np.concatenate([np.zeros((1024, 1)), psi[:, 1:]], axis=1)
+    tracemalloc.start()
+    try:
+        phi = bryant_form(f, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert phi.shape == (1024, 70)
+    assert theta_form(x).shape == (1024, 70) and spinor_square4(psi[0]).shape == (70,)
 
 
 def wedge_1_3(x, gamma):
@@ -140,7 +158,7 @@ def bryant_wedge_form(f, x, alpha, beta):
     n2 = np.einsum("...i,...i->...", x, x)
     xphi = np.einsum("...m,mjkl->...jkl", x, PHI0)
     return ((f**2 - n2)[..., None, None, None, None] * PHI0
-            + alpha * f[..., None, None, None, None] * theta_form(x)
+            + alpha * f[..., None, None, None, None] * unpack4(theta_form(x))
             + beta * wedge_1_3(x, xphi))
 
 
@@ -151,11 +169,11 @@ def test_printed_wedge_family_misses_the_orbit(rng):
     psi = rng.standard_normal(8)
     psi /= np.linalg.norm(psi)
     f, x = psi[0], np.concatenate([[0.0], psi[1:]])
-    truth = bryant_form(f, x)
+    truth = unpack4(bryant_form(f, x))
     n2 = x @ x
     base = (f * f - n2) * PHI0
     xphi = np.einsum("m,mjkl->jkl", x, PHI0)
-    cols = np.stack([(f * theta_form(x)).ravel(), wedge_1_3(x, xphi).ravel()], axis=1)
+    cols = np.stack([(f * unpack4(theta_form(x))).ravel(), wedge_1_3(x, xphi).ravel()], axis=1)
     coef, residual, *_ = np.linalg.lstsq(cols, (truth - base).ravel(), rcond=None)
     assert abs(coef[0] - 2.0) < 1e-10
     assert abs(coef[1] - 6.0 / 7.0) < 1e-8

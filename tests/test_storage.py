@@ -230,8 +230,19 @@ def test_manifest_written_and_finalized(tmp_path, state):
     assert m["seed"] == 3
 
 
-def test_atomic_write_leaves_no_partials(tmp_path, state):
+def test_atomic_write_leaves_no_partials(tmp_path, state, monkeypatch):
+    """A write that succeeds, and one whose final rename fails, each leave no
+    partial file; the failed one leaves the old checkpoint as it was."""
     path = str(tmp_path / "c.s7fl")
     write_checkpoint(path, state)
-    leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".part")]
-    assert leftovers == []
+    assert [f for f in os.listdir(tmp_path) if f.endswith(".part")] == []
+    old = (tmp_path / "c.s7fl").read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_checkpoint(path, state, prev_record=(0.1, 2.5))
+    assert (tmp_path / "c.s7fl").read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == ["c.s7fl"]
