@@ -21,6 +21,7 @@ from . import algebra, lattice, orbit
 from .algebra import metric_from_form, pi7, pi21, unpack4
 from .heat import center_index, heat_average
 from .lattice import LatticeSpec, as_number, as_object
+from .octonion import OCT_TABLE
 
 __all__ = [
     "FlowState",
@@ -143,14 +144,26 @@ DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))
 # ---------------------------------------------------------------------------
 # initial data
 
-def _pi7_unit_generator(rng: np.random.Generator) -> np.ndarray:
+def _unit_direction(rng: np.random.Generator) -> np.ndarray:
+    """A seeded unit imaginary octonion u: the 7-summand part of a Gaussian
+    skew generator is the right multiplication by a multiple of u."""
     a = rng.standard_normal((8, 8))
-    a = pi7(a - a.T, algebra.PHI0C)
-    return a / np.sqrt(np.sum(a * a))
+    u = np.einsum("ajb,ab->j", OCT_TABLE, a - a.T)
+    return u / np.sqrt(np.sum(u * u))
 
 
-# The largest rotation angle of initial data: the metric drift of `so8_exp` grows
-# with it (1e-8 at 1e7, where `require_admissible` refuses), and near 1e18 it overflows.
+def _squared_exp(v: np.ndarray) -> np.ndarray:
+    """The form psi^2 of psi = exp(v) = cos|v| + sin|v| v/|v|, for an
+    imaginary-octonion field v, grid + (8,)."""
+    s = np.sqrt(np.einsum("...a,...a->...", v, v))
+    psi = np.divide(np.sin(s), s, out=np.ones_like(s), where=s > 0)[..., None] * v
+    psi[..., 0] = np.cos(s)
+    return orbit.bryant_form(psi)
+
+
+# The largest angle of initial data.  The spinor square is exact at any angle,
+# so the bound only has to keep |v|^2 finite (past about 1e154 it overflows);
+# 1e9 keeps that with a wide margin.
 _MAX_ANGLE = 1e9
 
 
@@ -209,10 +222,12 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
 
     Families:
       constant        the Cayley form everywhere (zero torsion)
-      rotation-field  exp(theta(x) A) . Phi0, A a seeded 7-summand generator;
+      rotation-field  exp(theta(x) A) . Phi0, A a seeded unit 7-summand generator;
                       profile "sine" (default) or "bump"
       bryant-wave     spinor parametrization along a periodic sphere curve
       random-smooth   exp(A(x)) . Phi0, A a low-frequency random 7-summand field
+
+    Each but `constant` is `orbit.bryant_form(exp v)`, v an imaginary-octonion field.
 
     Raises ValueError for an unknown family or profile, a params key the
     family (or its profile) does not read, or a parameter out of range.
@@ -231,19 +246,15 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
     if family == "constant":
         phi = np.broadcast_to(algebra.PHI0C, spec.grid_shape + (70,)).copy()
     elif family == "rotation-field":
-        gen = _pi7_unit_generator(rng)
-        theta = _profile(spec, profile, params)
-        rot = orbit.so8_exp(theta[..., None, None] * gen)
-        phi = orbit.rotate_form(rot, algebra.PHI0C)
+        # exp(theta R_u / sqrt 8) Phi0 is the square of exp(theta u / sqrt 2)
+        u = _unit_direction(rng)
+        phi = _squared_exp((_profile(spec, profile, params) / np.sqrt(2.0))[..., None] * u)
     elif family == "bryant-wave":
         u = rng.standard_normal(8)
         u[0] = 0.0
         u /= np.linalg.norm(u)
         # the sphere angle is the mode-1 sine profile, with its own eps default
-        s = _profile(spec, "sine", {"eps": 0.5, **params})
-        f = np.cos(s)
-        xvec = np.sin(s)[..., None] * u
-        phi = orbit.bryant_form(f, xvec)
+        phi = _squared_exp(_profile(spec, "sine", {"eps": 0.5, **params})[..., None] * u)
     elif family == "random-smooth":
         kmax = as_number(int, params.get("kmax", 2), "kmax")
         n_gen = as_number(int, params.get("n_generators", 3), "n_generators")
@@ -252,15 +263,15 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
                 raise ValueError(f"{key} must be >= 1, got {value}")
         eps = _amplitude(params, n_gen)
         xs = lattice.grid_coordinates(spec)
-        a_field = np.zeros(spec.grid_shape + (8, 8))
+        v = np.zeros(spec.grid_shape + (8,))
         for _ in range(n_gen):
-            gen = _pi7_unit_generator(rng)
+            u = _unit_direction(rng)
             phase = np.zeros(spec.grid_shape)
             for x in xs:
                 k = int(rng.integers(1, kmax + 1))
                 phase = phase + 2.0 * np.pi * k * x / spec.period + rng.uniform(0, 2 * np.pi)
-            a_field = a_field + (eps * np.sin(phase))[..., None, None] * gen
-        phi = orbit.rotate_form(orbit.so8_exp(a_field), algebra.PHI0C)
+            v = v + (eps * np.sin(phase) / np.sqrt(2.0))[..., None] * u
+        phi = _squared_exp(v)
     state = FlowState(spec=spec, phi=phi)
     require_admissible(state, "initial data")
     return state

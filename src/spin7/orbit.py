@@ -1,57 +1,36 @@
 """The rotation orbit of the Cayley form and its spinor parametrization.
 
 `rotate_form`/`so8_exp` realize the frame-change action used by the flow
-integrator.  `bryant_form` parametrizes the isometric forms by a point
-(f, X) on the unit sphere, via the 4-form component of the spinor square
-psi (x) psi with psi = f + X.  Every map returns canonical (...,70) 4-forms.
+integrator.  `bryant_form` parametrizes the isometric forms by a unit spinor
+psi in the octonions: the 4-form part of psi (x) psi, read off the Clifford
+product that `spinor_square4` evaluates literally.  Every map returns
+canonical (...,70) 4-forms.
 
-Conventions pinned here (see README.md for the full note):
+The square is quadratic in psi, so one table holds it: `_SQUARE[c]` is the
+symmetric 8x8 matrix with psi^T _SQUARE[c] psi the c-th canonical component.
+Antipodal spinors give the same form, and psi = 1 gives Phi0.  The 7-summand
+of Phi0 is right multiplication R_u by an imaginary u, and for a unit u
 
-* theta_form(X) stores Phi0(e_i X, e_j, e_k, e_l) on ascending index
-  quadruples; the 4-form they fix by antisymmetry lies exactly in the
-  7-summand of 4-forms for imaginary X, as an isometric deformation
-  direction must.
+    exp(theta R_u / sqrt 8) . Phi0 = bryant_form(cos(theta / sqrt 2) + sin(theta / sqrt 2) u),
 
-* The quadratic term of the spinor square is NOT a multiple of
-  X ^ (X . Phi0).  The identity that actually holds, to machine precision
-  and validated against a literal Clifford-product evaluation, is
-
-      [psi (x) psi]_4 = (f^2 - |X|^2) Phi0 + 2 f theta_form(X) - 2 K(X),
-      K(X)_ijkl = M_ij M_kl - M_ik M_jl + M_il M_jk,
-      M_ab = <e_a X, e_b>  (right-multiplication matrix of X),
-
-  and no rescaling of the X ^ (X . Phi0) term can replace K(X):
-  least-squares over (f^2-|X|^2) Phi0 + a f theta + b X^(X . Phi0) leaves an
-  O(1) admissibility defect for every (a, b); the best fit is
-  (a, b) = (2, 6/7).  tests/test_orbit.py evaluates that family
-  (`bryant_wedge_form`) so the discrepancy stays measurable.
+which is how `flow.initial_data` builds its forms.  tests/test_orbit.py keeps
+the closed form of the square in psi = f + X (README.md), and the printed
+wedge variant that misses the orbit, measurable against `bryant_form`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _GATHER2, _GATHER4, _P_CANON, PHI0, PHI0C, QUADS, pair_matrix
-from .octonion import OCT_TABLE, right_mult_matrix
+from .algebra import _GATHER2, _GATHER4, _P_CANON, QUADS, pair_matrix
+from .octonion import OCT_TABLE
 
 __all__ = [
-    "theta_form",
     "bryant_form",
     "spinor_square4",
     "so8_exp",
     "rotate_form",
 ]
-
-# theta components are linear in X: precompute the (70, 8) coefficient table
-# TH[c, m] with theta_canon[c] = sum_m TH[c, m] X_m, from
-# F(i,j,k,l) = Phi0((e_i X), e_j, e_k, e_l) on ascending quadruples,
-# (e_i X)_p = OCT_TABLE[i, m, p] X_m.
-_THETA_TABLE = np.einsum("imp,pjkl->ijklm", OCT_TABLE, PHI0)[_GATHER4]
-
-
-def theta_form(x: np.ndarray) -> np.ndarray:
-    """4-form with components Phi0(e_i x, e_j, e_k, e_l) on ascending quadruples."""
-    return np.einsum("cm,...m->...c", _THETA_TABLE, np.asarray(x, dtype=float))
 
 
 def spinor_square4(psi: np.ndarray) -> np.ndarray:
@@ -73,31 +52,34 @@ def spinor_square4(psi: np.ndarray) -> np.ndarray:
     return canon
 
 
-def bryant_form(f, x: np.ndarray) -> np.ndarray:
-    """Isometric 4-form parametrized by (f, x) with f^2 + |x|^2 = 1.
-
-    The first octonion coordinate of x folds into the spinor's real part, so
-    admissibility requires (f + x_0)^2 + |x_im|^2 = 1; for imaginary x this
-    is the stated constraint.  Quadratic in (f, x): antipodes give the same
-    form.  Raises ValueError on constraint violation.
-    """
-    f = np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    f_eff = f + x[..., 0]
-    xim = x.copy()
-    xim[..., 0] = 0.0
-    n2 = np.einsum("...i,...i->...", xim, xim)
-    err = np.abs(f_eff**2 + n2 - 1.0)
-    if np.any(err > 1e-12):
-        raise ValueError(
-            f"(f, x) violates the unit-sphere constraint by {float(np.max(err)):.3e}")
-    # K(X) on the ascending quadruples (i, j, k, l), from M at their six pairs
+def _square_table() -> np.ndarray:
+    """The quadratic forms of `spinor_square4`: left multiplication by e_l is
+    the row-vector product psi @ OCT_TABLE[l], so the component on (i, j, k, l)
+    is psi^T (conj_i conj_k T[l] T[k] T[j] T[i]) psi.  Every factor is a signed
+    permutation matrix, so the table is exact."""
     i, j, k, l = _GATHER4
-    m = right_mult_matrix(xim)
-    k_form = (m[..., i, j] * m[..., k, l] - m[..., i, k] * m[..., j, l]
-              + m[..., i, l] * m[..., j, k])
-    return ((f_eff**2 - n2)[..., None] * PHI0C + 2.0 * f_eff[..., None] * theta_form(xim)
-            - 2.0 * k_form)
+    conj = np.where(np.arange(8) == 0, 1.0, -1.0)
+    m = (conj[i] * conj[k])[:, None, None] * (
+        OCT_TABLE[l] @ OCT_TABLE[k] @ OCT_TABLE[j] @ OCT_TABLE[i])
+    square = 0.5 * (m + np.swapaxes(m, -1, -2)) + 0.0     # + 0.0 clears the zeros' signs
+    square.setflags(write=False)
+    return square
+
+
+_SQUARE = _square_table()
+
+
+def bryant_form(psi: np.ndarray) -> np.ndarray:
+    """The isometric 4-form psi (x) psi of a unit spinor psi, shape (..., 8).
+
+    Quadratic in psi: antipodes give the same form.  Raises ValueError unless
+    every |psi|^2 lies within 1e-12 of 1.
+    """
+    psi = np.asarray(psi, dtype=float)
+    err = np.abs(np.einsum("...a,...a->...", psi, psi) - 1.0)
+    if not np.all(err <= 1e-12):
+        raise ValueError(f"psi violates the unit-sphere constraint by {float(np.max(err)):.3e}")
+    return np.einsum("...a,cab,...b->...c", psi, _SQUARE, psi)
 
 
 def so8_exp(a: np.ndarray) -> np.ndarray:

@@ -233,14 +233,13 @@ def run_suite(octonion_table: np.ndarray | None = None) -> list[IdentityResult]:
     # spinor parametrization and isotropy
     psi = rng.standard_normal(8)
     psi /= np.linalg.norm(psi)
-    f, xv = psi[0], np.concatenate([[0.0], psi[1:]])
-    bry = orbit.bryant_form(f, xv)
-    errs = [np.abs(orbit.bryant_form(1.0, np.zeros(8)) - phic).max() if octonion_table is None
-            else 0.0]
+    errs = [0.0]
     if octonion_table is None:
-        errs.append(np.abs(bry - orbit.spinor_square4(psi)).max())
-        errs.append(np.abs(metric_from_form(unpack4(bry)) - np.eye(8)).max())
-    out.append(IdentityResult("spinor parametrization (square = closed form, isometric)",
+        bry = orbit.bryant_form(psi)
+        errs = [np.abs(orbit.bryant_form(np.eye(8)[0]) - phic).max(),
+                np.abs(bry - orbit.spinor_square4(psi)).max(),
+                np.abs(metric_from_form(unpack4(bry)) - np.eye(8)).max()]
+    out.append(IdentityResult("spinor parametrization (square = Clifford product, isometric)",
                               float(max(errs)), METRIC_TOL))
     iso = orbit.rotate_form(orbit.so8_exp(pi21(beta, phic)), phic)
     out.append(IdentityResult("stabiliser isotropy (21-summand exponentials fix the form)",

@@ -109,7 +109,7 @@ def test_criterion_03_diamond_calculus():
 def test_criterion_04_torsion_correctness():
     t0 = time.time()
     spec0 = LatticeSpec(active_axes=(0,), points=16)
-    phi_const = np.broadcast_to(pack4(PHI0), spec0.grid_shape + (70,)).copy()
+    phi_const = np.broadcast_to(PHI0C, spec0.grid_shape + (70,)).copy()
     exact_zero = float(np.abs(torsion(spec0, phi_const)).max())
 
     recon_errs, defect_floor, div_defects = [], [], []

@@ -4,15 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spin7 import lattice
+from spin7 import flow, lattice
 from spin7.algebra import diamond, pack4, pi7, pi21
-from spin7.flow import (FlowAbort, FlowConfig, convexity_gap, energy_gradient_check,
+from spin7.flow import (FlowAbort, FlowConfig, FlowState, convexity_gap, energy_gradient_check,
                         entropy, evaluate, flow_step, initial_data, metric_drift,
                         parabolic_rescale, quartic_terms, run_flow, soliton_residual,
                         soliton_schedule, theta_functional,
                         torsion_evolution_residual)
 from spin7.heat import heat_weights
 from spin7.lattice import LatticeSpec, div_torsion, energy, torsion
+from spin7.orbit import rotate_form, so8_exp
+
+from conftest import PHI0C, unit_pi7_generator
 
 
 def small_spec(n=16, order=2):
@@ -62,8 +65,78 @@ def test_unknown_family():
         initial_data("vortex", {}, small_spec())
 
 
+def rotated_initial_form(family, params, spec, seed):
+    """The initial form by rotating Phi0 with so8_exp and rotate_form: the
+    construction `initial_data` replaced by spinor squares, rebuilt here on
+    the same draws of the same generator."""
+    rng = np.random.default_rng(seed)
+    if family == "rotation-field":
+        gen = unit_pi7_generator(rng)
+        params = dict(params)
+        theta = flow._profile(spec, params.pop("profile", "sine"), params)
+        return rotate_form(so8_exp(theta[..., None, None] * gen), PHI0C)
+    a_field = np.zeros(spec.grid_shape + (8, 8))
+    for _ in range(params.get("n_generators", 3)):
+        gen = unit_pi7_generator(rng)
+        phase = np.zeros(spec.grid_shape)
+        for x in lattice.grid_coordinates(spec):
+            k = int(rng.integers(1, params.get("kmax", 2) + 1))
+            phase = phase + 2.0 * np.pi * k * x / spec.period + rng.uniform(0, 2 * np.pi)
+        a_field = a_field + (params["eps"] * np.sin(phase))[..., None, None] * gen
+    return rotate_form(so8_exp(a_field), PHI0C)
+
+
+@pytest.mark.parametrize("family, params, axes, points", [
+    ("rotation-field", {"eps": 0.6}, (0,), 32),
+    ("rotation-field", {"eps": 3.0, "profile": "bump", "width": 0.1}, (0, 2), 12),
+    ("random-smooth", {"eps": 0.3}, (0,), 32),
+    ("random-smooth", {"eps": 0.3, "kmax": 3, "n_generators": 2}, (1, 2, 5), 6),
+], ids=["sine", "bump-eps-3", "random-1-axis", "random-3-axes"])
+def test_spinor_squares_match_the_rotated_cayley_form(family, params, axes, points):
+    spec = LatticeSpec(active_axes=axes, points=points)
+    for seed in (1, 7):
+        np.testing.assert_allclose(initial_data(family, params, spec, seed).phi,
+                                   rotated_initial_form(family, params, spec, seed),
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("family, eps", [("rotation-field", 1e8), ("random-smooth", 3e8),
+                                         ("bryant-wave", 1e9)])
+def test_initial_data_is_exact_at_large_angles(family, eps):
+    st = initial_data(family, {"eps": eps}, small_spec(32), seed=3)
+    assert metric_drift(st) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # stepping
+
+
+@pytest.mark.parametrize("axes, points", [((0,), 64), ((0, 3), 16), ((1, 2, 5), 8)],
+                         ids=["64", "16^2", "8^3"])
+def test_step_commutes_with_the_lattice_symmetries(axes, points):
+    """One step commutes bit for bit with a grid translation, the reversal
+    i -> -i mod N of a grid axis and, on 2 and 3 axes, the swap of the first
+    two grid axes (the divergence adds the axes in order, and only a + b = b + a
+    holds bit for bit); and with a constant SO(8) rotation of the form's
+    indices to round-off."""
+    spec = LatticeSpec(active_axes=axes, points=points)
+    phi = initial_data("random-smooth", {"eps": 0.3}, spec, seed=13).phi
+    dt = 0.1 * spec.spacing**2
+
+    def step(form):
+        return flow_step(FlowState(spec=spec, phi=np.ascontiguousarray(form)), dt).phi
+
+    stepped, last = step(phi), len(axes) - 1
+    moves = [lambda p: np.roll(p, 3, axis=last)]
+    moves += [lambda p, ax=ax: np.roll(np.flip(p, axis=ax), 1, axis=ax) for ax in {0, last}]
+    if len(axes) > 1:
+        moves.append(lambda p: np.swapaxes(p, 0, 1))
+    for move in moves:
+        np.testing.assert_array_equal(step(move(phi)), move(stepped))
+    a = np.random.default_rng(5).standard_normal((8, 8))
+    rot = so8_exp(a - a.T)
+    np.testing.assert_allclose(step(rotate_form(rot, phi)), rotate_form(rot, stepped),
+                               rtol=0, atol=1e-14)
 
 
 def test_zero_torsion_is_fixed_point():

@@ -158,10 +158,14 @@ def test_pair_matrix_scatter_matches_the_oracle():
     assert_same(algebra._P_CANON, entry)
 
 
-def test_theta_table_matches_the_oracle():
-    f_coef = np.einsum("imp,pjkl->ijklm", OCT_TABLE, algebra.PHI0)
-    rows = np.array(QUADS)
-    assert_same(orbit._THETA_TABLE, f_coef[rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], :])
+def test_square_table_matches_the_oracle():
+    # polarize the Clifford-product square on the 64 basis pairs (a, b):
+    # Sq(e_a + e_b) - Sq(e_a - e_b) = 4 e_a^T _SQUARE e_b, exactly in integers
+    eye = np.eye(8)
+    plus = orbit.spinor_square4(eye[:, None, :] + eye[None, :, :])
+    minus = orbit.spinor_square4(eye[:, None, :] - eye[None, :, :])
+    assert_same(orbit._SQUARE, np.moveaxis((plus - minus) / 4.0, -1, 0))
+    assert not orbit._SQUARE.flags.writeable
 
 
 @pytest.mark.parametrize("table", [OCT_TABLE, _corrupted_table()], ids=["octonion", "corrupted"])
@@ -191,6 +195,6 @@ def test_unpack_gathers_are_contiguous_and_exact(lead):
 
 
 def test_bryant_wave_form_is_contiguous():
-    # its phi is the one initial form that comes straight out of pack4
+    # its phi comes straight out of the einsum of `orbit.bryant_form`
     state = initial_data("bryant-wave", {}, LatticeSpec(active_axes=(0,), points=16))
     assert state.phi.flags.c_contiguous

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spin7.algebra import PHI0, pack4, pi7, pi21, unpack4
+from spin7.algebra import pi7, pi21, unpack4
 from spin7.flow import (diagnostics, entropy, evaluate, flow_step, initial_data,
                         parabolic_rescale, theta_functional)
 from spin7.lattice import (LatticeSpec, _embed_m_axis, bianchi_residual, div_torsion,
@@ -122,7 +122,7 @@ def rotation_state(spec, eps=0.05, seed=1):
 
 def test_torsion_of_constant_field_is_zero():
     spec = LatticeSpec(active_axes=(0,), points=8)
-    phi = np.broadcast_to(pack4(PHI0), (8, 70)).copy()
+    phi = np.broadcast_to(PHI0C, (8, 70)).copy()
     assert np.abs(torsion(spec, phi)).max() == 0.0
 
 
@@ -284,7 +284,7 @@ def two_axis_state(n, seed=11, eps=0.05):
 
 def test_residuals_vanish_on_constant():
     spec = LatticeSpec(active_axes=(0,), points=8)
-    phi = np.broadcast_to(pack4(PHI0), (8, 70)).copy()
+    phi = np.broadcast_to(PHI0C, (8, 70)).copy()
     t = torsion(spec, phi)
     assert bianchi_residual(spec, t) == 0.0
     assert ricci_residual(spec, t) == 0.0

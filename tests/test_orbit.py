@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from spin7 import orbit
 from spin7.algebra import (PHI0, decompose4, diamond, lambda_op, metric_from_form,
                            pack4, pi7, pi21, unpack4)
-from spin7.octonion import oct_mul
-from spin7.orbit import bryant_form, rotate_form, so8_exp, spinor_square4, theta_form
+from spin7.octonion import oct_mul, right_mult_matrix
+from spin7.orbit import bryant_form, rotate_form, so8_exp, spinor_square4
 
 from conftest import PHI0C
 
@@ -34,76 +35,88 @@ def brute_force_theta(x):
 
 
 # ---------------------------------------------------------------------------
-# theta
+# theta: the polarized square at the real unit, theta(x) = e_0^T _SQUARE x,
+# half the derivative of the square along x at psi = 1
 
 
-def test_theta_zero():
-    assert np.abs(theta_form(np.zeros(8))).max() == 0.0
-
-
-def test_theta_odd_and_linear(rng):
-    x = rng.standard_normal(8)
-    np.testing.assert_allclose(theta_form(-x), -theta_form(x), atol=1e-14)
-    y = rng.standard_normal(8)
-    np.testing.assert_allclose(theta_form(x + 2 * y),
-                               theta_form(x) + 2 * theta_form(y), atol=1e-13)
+def theta_of_square(x):
+    return unpack4(np.einsum("cb,...b->...c", orbit._SQUARE[:, 0], x))
 
 
 def test_theta_matches_brute_force_oracle():
-    np.testing.assert_allclose(unpack4(theta_form(I8[1])), brute_force_theta(I8[1]), atol=1e-14)
+    np.testing.assert_allclose(theta_of_square(I8[1]), brute_force_theta(I8[1]), atol=1e-14)
 
 
 def test_theta_random_matches_oracle(rng):
     x = rng.standard_normal(8)
-    np.testing.assert_allclose(unpack4(theta_form(x)), brute_force_theta(x), atol=1e-13)
+    np.testing.assert_allclose(theta_of_square(x), brute_force_theta(x), atol=1e-13)
 
 
 def test_theta_is_isometric_direction(rng):
     x = rng.standard_normal(8)
     x[0] = 0.0
-    th = unpack4(theta_form(x))
+    th = brute_force_theta(x)
     # exactly in the 7-summand: eigenvalue -12 under the equivariant operator
     np.testing.assert_allclose(lambda_op(th, PHI0), -12 * th, atol=1e-12)
 
 
 def test_theta_of_real_unit_is_cayley():
-    np.testing.assert_allclose(unpack4(theta_form(I8[0])), PHI0, atol=1e-14)
+    np.testing.assert_allclose(brute_force_theta(I8[0]), PHI0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # bryant parametrization
 
 
+def unit_spinor(rng, lead=()):
+    psi = rng.standard_normal(lead + (8,))
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
 def test_bryant_reference_points():
-    np.testing.assert_allclose(unpack4(bryant_form(1.0, np.zeros(8))), PHI0, atol=1e-14)
-    np.testing.assert_allclose(unpack4(bryant_form(-1.0, np.zeros(8))), PHI0, atol=1e-14)
+    np.testing.assert_allclose(unpack4(bryant_form(I8[0])), PHI0, atol=1e-14)
+    np.testing.assert_allclose(unpack4(bryant_form(-I8[0])), PHI0, atol=1e-14)
 
 
 def test_bryant_antipodal_identification(rng):
-    psi = rng.standard_normal(8)
-    psi /= np.linalg.norm(psi)
-    f, x = psi[0], np.concatenate([[0.0], psi[1:]])
-    np.testing.assert_array_equal(bryant_form(f, x), bryant_form(-f, -x))
+    psi = unit_spinor(rng)
+    np.testing.assert_array_equal(bryant_form(psi), bryant_form(-psi))
 
 
 def test_bryant_constraint_checked():
     with pytest.raises(ValueError):
-        bryant_form(1.0, np.array([0, 0.5, 0, 0, 0, 0, 0, 0.0]))
+        bryant_form(np.array([1.0, 0.5, 0, 0, 0, 0, 0, 0]))
+    # a NaN anywhere in a batch is off the sphere too, not a NaN form
+    psi = np.tile(I8[0], (3, 1))
+    psi[1, 2] = np.nan
+    for bad in (np.full(8, np.nan), psi):
+        with pytest.raises(ValueError, match="unit-sphere"):
+            bryant_form(bad)
 
 
 def test_bryant_matches_spinor_square(rng):
     for _ in range(5):
-        psi = rng.standard_normal(8)
-        psi /= np.linalg.norm(psi)
+        psi = unit_spinor(rng)
+        np.testing.assert_allclose(bryant_form(psi), spinor_square4(psi), atol=1e-12)
+
+
+def test_bryant_is_the_closed_form(rng):
+    """The square of psi = f + X, X imaginary, is
+    (f^2 - |X|^2) Phi0 + 2 f theta(X) - 2 K(X), with
+    K(X)_ijkl = M_ij M_kl - M_ik M_jl + M_il M_jk and M the right
+    multiplication by X: the quadratic term is not a wedge with X."""
+    for _ in range(3):
+        psi = unit_spinor(rng)
         f, x = psi[0], np.concatenate([[0.0], psi[1:]])
-        np.testing.assert_allclose(bryant_form(f, x), spinor_square4(psi), atol=1e-12)
+        m = right_mult_matrix(x)
+        k_form = (np.einsum("ij,kl->ijkl", m, m) - np.einsum("ik,jl->ijkl", m, m)
+                  + np.einsum("il,jk->ijkl", m, m))
+        closed = (f * f - x @ x) * PHI0 + 2.0 * f * brute_force_theta(x) - 2.0 * k_form
+        np.testing.assert_allclose(unpack4(bryant_form(psi)), closed, rtol=0, atol=1e-15)
 
 
 def test_bryant_isometric(rng):
-    psi = rng.standard_normal(8)
-    psi /= np.linalg.norm(psi)
-    f, x = psi[0], np.concatenate([[0.0], psi[1:]])
-    phi = unpack4(bryant_form(f, x))
+    phi = unpack4(bryant_form(unit_spinor(rng)))
     np.testing.assert_allclose(metric_from_form(phi), I8, atol=1e-8)
     assert abs(np.sum(phi * phi) - 336.0) < 1e-10
 
@@ -112,36 +125,26 @@ def test_bryant_equator_admissible(rng):
     x = rng.standard_normal(8)
     x[0] = 0.0
     x /= np.linalg.norm(x)
-    phi = unpack4(bryant_form(0.0, x))
+    phi = unpack4(bryant_form(x))
     np.testing.assert_allclose(metric_from_form(phi), I8, atol=1e-8)
     # eigen-structure of an admissible form: the form spans its own 1-summand
     parts = decompose4(phi, phi)
     np.testing.assert_allclose(parts[0], phi, atol=1e-10)
 
 
-def test_bryant_folds_real_slot(rng):
-    # the first slot of x adds to f; admissibility governs the combined spinor
-    x = np.zeros(8)
-    x[0] = 0.3
-    phi = unpack4(bryant_form(0.7, x))
-    np.testing.assert_allclose(phi, PHI0, atol=1e-13)
-
-
 def test_spinor_square_stays_canonical(rng):
     """The square of 1024 unit spinors is built on the 70 stored components:
     no dense 8^4 array per point (that alone would take 32 MiB)."""
-    psi = rng.standard_normal((1024, 8))
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    f, x = psi[:, 0], np.concatenate([np.zeros((1024, 1)), psi[:, 1:]], axis=1)
+    psi = unit_spinor(rng, (1024,))
     tracemalloc.start()
     try:
-        phi = bryant_form(f, x)
+        phi = bryant_form(psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert phi.shape == (1024, 70)
-    assert theta_form(x).shape == (1024, 70) and spinor_square4(psi[0]).shape == (70,)
+    assert spinor_square4(psi[0]).shape == (70,)
 
 
 def wedge_1_3(x, gamma):
@@ -158,7 +161,7 @@ def bryant_wedge_form(f, x, alpha, beta):
     n2 = np.einsum("...i,...i->...", x, x)
     xphi = np.einsum("...m,mjkl->...jkl", x, PHI0)
     return ((f**2 - n2)[..., None, None, None, None] * PHI0
-            + alpha * f[..., None, None, None, None] * unpack4(theta_form(x))
+            + alpha * f[..., None, None, None, None] * brute_force_theta(x)
             + beta * wedge_1_3(x, xphi))
 
 
@@ -166,14 +169,13 @@ def test_printed_wedge_family_misses_the_orbit(rng):
     """No (alpha, beta) in the f,theta,wedge family reproduces the true
     parametrization: the quadratic term is not a wedge multiple.  The
     best fit is (2, 6/7) with an O(1) defect; document both."""
-    psi = rng.standard_normal(8)
-    psi /= np.linalg.norm(psi)
+    psi = unit_spinor(rng)
     f, x = psi[0], np.concatenate([[0.0], psi[1:]])
-    truth = unpack4(bryant_form(f, x))
+    truth = unpack4(bryant_form(psi))
     n2 = x @ x
     base = (f * f - n2) * PHI0
     xphi = np.einsum("m,mjkl->jkl", x, PHI0)
-    cols = np.stack([(f * unpack4(theta_form(x))).ravel(), wedge_1_3(x, xphi).ravel()], axis=1)
+    cols = np.stack([(f * brute_force_theta(x)).ravel(), wedge_1_3(x, xphi).ravel()], axis=1)
     coef, residual, *_ = np.linalg.lstsq(cols, (truth - base).ravel(), rcond=None)
     assert abs(coef[0] - 2.0) < 1e-10
     assert abs(coef[1] - 6.0 / 7.0) < 1e-8
