@@ -13,7 +13,7 @@ import numpy as np
 from spin7.flow import initial_data
 from spin7.lattice import (LatticeSpec, bianchi_residual, div_torsion, ricci_residual,
                            scalar_residual, fd_gradient_generic, torsion)
-from spin7.algebra import diamond, pi7, unpack4
+from spin7.algebra import diamond, pi7
 
 
 def orders(errs):
@@ -21,10 +21,9 @@ def orders(errs):
 
 
 def reconstruction_error(spec, state):
-    phi_d = state.phi_dense()
     tm = torsion(spec, state.phi)[..., 0, :, :]     # slice 0: the first active axis
-    grad = unpack4(fd_gradient_generic(spec, state.phi))[..., 0, :, :, :, :]
-    return float(np.abs(diamond(tm, phi_d) - grad).max())
+    grad = fd_gradient_generic(spec, state.phi)[..., 0, :]
+    return float(np.abs(diamond(tm, state.phi) - grad).max())
 
 
 def main():

@@ -2,35 +2,33 @@
 
 All tensors are plain float64 ndarrays; every function broadcasts over
 arbitrary leading batch axes, so a lattice of values is just one more axis.
-Dense index conventions:
+Vectors are (..., 8), and 2-forms and endomorphisms dense (..., 8, 8):
 
     2-form   beta[..., i, j]          skew
-    3-form   gamma[..., i, j, k]      totally antisymmetric
-    4-form   sigma[..., i, j, k, l]   totally antisymmetric
     endo     A[..., i, j]             row = covariant slot, column = contraction
 
-Canonical (deduplicated) storage keeps ascending-index components only:
-56 entries for 3-forms, 70 for 4-forms; `pack4`/`unpack4` convert.  Only the
-identity kernels (`diamond`, `lambda_op`, `decompose4`, `triple_contract`,
-`decompose3`, `hodge_star4`, `form_inner`) and `metric_from_form` take dense
-4-forms.  The flow-step kernels (`pi7`, `pi21`, `endo_split`, `lattice.torsion`,
-`orbit.rotate_form`) contract canonical ones through two gathered matrices:
+3- and 4-forms are canonical (deduplicated): the 56 and 70 components on
+ascending index triples and quadruples, whose dot product is the inner
+product.  Every kernel here takes canonical forms; only `metric_from_form`
+reads a dense (...,8,8,8,8) 4-form, which `unpack4` builds.  The kernels
+contract the stored components through two gathered matrices:
 
     slot matrix   S[..., a, t] = phi[a, t]           8 x 56, t an ascending triple
     pair matrix   P[..., p, q] = phi[a, b, c, d]     28 x 28, p = (a<b), q = (c<d)
 
-P is symmetric, and it is the matrix of phi acting on 2-forms.
+P is symmetric, and it is the matrix of phi acting on 2-forms.  `diamond`
+and `lambda_op` read the products A S and P P at the splits of each
+quadruple (`_split_tables`).
 
 The reference Cayley form is built from octonion multiplication,
-Phi0(x,y,z,w) = <x, y (conj(z) w)>, antisymmetrized: `PHI0` dense, `PHI0C`
-canonical.  Its normalization is pinned by the contraction identities (full
-self-contraction 336, triple contraction 42 g), checked to 1e-12.
+Phi0(x,y,z,w) = <x, y (conj(z) w)>, antisymmetrized: `PHI0C` canonical,
+`PHI0` dense.  Its normalization is pinned by the contraction identities
+(full self-contraction 336, triple contraction 42 g), checked to 1e-12.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -47,7 +45,6 @@ __all__ = [
     "slot_matrix",
     "pair_matrix",
     "hodge_star4",
-    "form_inner",
     "pi7",
     "pi21",
     "lambda_op",
@@ -117,8 +114,28 @@ _P_SLOT = _SLOT4[_GATHER2[0][:, None], _GATHER2[1][:, None], _GATHER2[0], _GATHE
 _P_SIGN = _SIGN4[_GATHER2[0][:, None], _GATHER2[1][:, None], _GATHER2[0], _GATHER2[1]]
 # where each canonical component sits in the flattened pair matrix
 _P_CANON = _SLOT2[_GATHER4[0], _GATHER4[1]] * 28 + _SLOT2[_GATHER4[2], _GATHER4[3]]
-# hodge pairing on canonical quadruples: complement index and sign
+# hodge pairing on canonical quadruples: complement and sign, both unchanged by swapping
 _HODGE_COMP, _HODGE_SIGN = _hodge_tables(QUADS, QUADS)
+
+
+def _split_tables(head_slot: np.ndarray, tail_slot: np.ndarray):
+    """Every split of each ascending quadruple into a head of head_slot.ndim
+    positions and the ascending rest: the flat index head * tails + rest into
+    a (heads, tails) matrix, (splits, 70), and the sign of the permutation
+    head + rest, (splits, 1)."""
+    take, sign = [], []
+    for head in itertools.combinations(range(4), head_slot.ndim):
+        rest = tuple(p for p in range(4) if p not in head)
+        take.append(head_slot[tuple(_GATHER4[p] for p in head)] * (tail_slot.max() + 1)
+                    + tail_slot[tuple(_GATHER4[p] for p in rest)])
+        sign.append([float(_perm_sign(head + rest))])
+    return np.array(take), np.array(sign)
+
+
+# diamond reads A S at (i, jkl), (j, ikl), (k, ijl), (l, ijk) with signs +-+-
+_DIAMOND_TAKE, _DIAMOND_SIGN = _split_tables(np.arange(8), _SLOT3)
+# lambda_op reads P P at (ij, kl), (ik, jl), (il, jk), (jk, il), (jl, ik), (kl, ij)
+_LAMBDA_TAKE, _LAMBDA_SIGN = _split_tables(_SLOT2, _SLOT2)
 
 
 def _signed_take(values: np.ndarray, slot: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -128,6 +145,13 @@ def _signed_take(values: np.ndarray, slot: np.ndarray, sign: np.ndarray) -> np.n
     out = np.take(values, slot, axis=-1)
     out *= sign
     return out
+
+
+def _split_sum(matrix: np.ndarray, take: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The canonical 4-form sum over splits of matrix[..., head, tail] * sign
+    (`_split_tables`)."""
+    flat = matrix.reshape(matrix.shape[:-2] + (-1,))
+    return _signed_take(flat, take, sign).sum(axis=-2)
 
 
 def pack4(sigma: np.ndarray) -> np.ndarray:
@@ -159,7 +183,7 @@ def unpack3(canon: np.ndarray) -> np.ndarray:
 # the Cayley form
 
 def _build_cayley(table: np.ndarray = OCT_TABLE) -> np.ndarray:
-    """The 4-form of the octonion product `table` (dense, read-only); the
+    """The canonical 4-form of the octonion product `table` (read-only); the
     identity suite passes a corrupted table as its negative control."""
     # f[i, j, k, l] = <e_i, e_j (conj(e_k) e_l)>, then its antisymmetric part
     conj = oct_conj(np.ones(8))
@@ -168,15 +192,14 @@ def _build_cayley(table: np.ndarray = OCT_TABLE) -> np.ndarray:
     for perm in itertools.permutations(range(4)):
         canon += _perm_sign(perm) * f[tuple(_GATHER4[p] for p in perm)]
     canon /= 24.0
-    dense = unpack4(canon)
-    dense.setflags(write=False)
-    return dense
+    canon.setflags(write=False)
+    return canon
 
 
-#: The reference Cayley 4-form, dense and in canonical storage (both read-only).
-PHI0 = _build_cayley()
-PHI0C = PHI0[_GATHER4]
-PHI0C.setflags(write=False)
+#: The reference Cayley 4-form, in canonical storage and dense (both read-only).
+PHI0C = _build_cayley()
+PHI0 = unpack4(PHI0C)
+PHI0.setflags(write=False)
 
 #: Eigenvalues of lambda_op on the four irreducible 4-form summands,
 #: keyed by summand dimension.
@@ -188,20 +211,7 @@ LAMBDA_EIGENVALUES = {1: -24.0, 7: -12.0, 27: 4.0, 35: 0.0}
 
 def hodge_star4(sigma: np.ndarray) -> np.ndarray:
     """Hodge star on 4-forms, Euclidean metric, orientation e1^...^e8."""
-    canon = pack4(sigma)
-    out = np.empty_like(canon)
-    out[..., _HODGE_COMP] = canon * _HODGE_SIGN
-    return unpack4(out)
-
-
-def form_inner(sigma: np.ndarray, tau: np.ndarray, degree: int) -> np.ndarray:
-    """<sigma, tau> = (1/k!) full index contraction, degree k in {2, 3, 4}."""
-    if degree not in (2, 3, 4):
-        raise ValueError(f"degree must be 2, 3 or 4, got {degree}")
-    if sigma.shape[-degree:] != (8,) * degree or tau.shape[-degree:] != (8,) * degree:
-        raise ValueError("degree does not match trailing tensor shape")
-    axes = tuple(range(-degree, 0))
-    return np.sum(sigma * tau, axis=axes) / math.factorial(degree)
+    return _signed_take(sigma, _HODGE_COMP, _HODGE_SIGN)
 
 
 def _form_on_2forms(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -214,73 +224,71 @@ def _form_on_2forms(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def pi7(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Projection of a 2-form onto the 7-dimensional summand of canonical phi."""
+    """Projection of a 2-form onto the 7-dimensional summand of phi."""
     return 0.25 * beta - 0.125 * _form_on_2forms(beta, phi)
 
 
 def pi21(beta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Projection of a 2-form onto the 21-dimensional (stabiliser) summand of
-    canonical phi."""
+    """Projection of a 2-form onto the 21-dimensional (stabiliser) summand of phi."""
     return 0.75 * beta + 0.125 * _form_on_2forms(beta, phi)
 
 
 def lambda_op(sigma: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Equivariant operator on 4-forms with eigenvalues -24, -12, 4, 0."""
-    sp = np.einsum("...ijmn,...mnkl->...ijkl", sigma, phi)
-    t = lambda order: np.einsum(f"...{order}->...ijkl", sp)
-    return sp + t("iklj") + t("iljk") + t("jkil") + t("jlki") + t("klij")
+    """Equivariant operator on 4-forms with eigenvalues -24, -12, 4, 0: the
+    signed sum of sigma_ijmn phi_mnkl = 2 (P(sigma) P(phi))_(ij),(kl) over
+    the six pair splits of each quadruple (`_LAMBDA_TAKE`)."""
+    return 2.0 * _split_sum(pair_matrix(sigma) @ pair_matrix(phi), _LAMBDA_TAKE, _LAMBDA_SIGN)
 
 
 def decompose4(sigma: np.ndarray, phi: np.ndarray):
     """Split a 4-form into its (1, 7, 27, 35)-summand parts; parts sum to sigma.
 
-    Uses the spectral projectors of lambda_op, built from three applications
-    of the operator (Lagrange interpolation over the four eigenvalues).
+    Each part is the spectral projector of lambda_op onto its eigenvalue lam,
+    the product of (lambda_op - mu) / (lam - mu) over the other three mu.
     """
     mus = [LAMBDA_EIGENVALUES[d] for d in (1, 7, 27, 35)]
-    powers = [sigma]
-    for _ in range(3):
-        powers.append(lambda_op(powers[-1], phi))
     parts = []
     for lam in mus:
-        others = [mu for mu in mus if mu != lam]
-        # expand prod (x - mu) = x^3 + c2 x^2 + c1 x + c0
-        c2 = -sum(others)
-        c1 = others[0] * others[1] + others[0] * others[2] + others[1] * others[2]
-        c0 = -others[0] * others[1] * others[2]
-        den = np.prod([lam - mu for mu in others])
-        parts.append((powers[3] + c2 * powers[2] + c1 * powers[1] + c0 * powers[0]) / den)
+        part = sigma
+        for mu in (mu for mu in mus if mu != lam):
+            part = (lambda_op(part, phi) - mu * part) / (lam - mu)
+        parts.append(part)
     return tuple(parts)
 
 
 def diamond(endo: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Infinitesimal frame-change action of an endomorphism on a 4-form."""
-    return (np.einsum("...ip,...pjkl->...ijkl", endo, phi)
-            + np.einsum("...jp,...ipkl->...ijkl", endo, phi)
-            + np.einsum("...kp,...ijpl->...ijkl", endo, phi)
-            + np.einsum("...lp,...ijkp->...ijkl", endo, phi))
+    """Infinitesimal frame-change action of an endomorphism on a 4-form,
+    A_ip phi_pjkl + A_jp phi_ipkl + A_kp phi_ijpl + A_lp phi_ijkp: the four
+    (index, triple) splits of A S(phi) (`_DIAMOND_TAKE`)."""
+    return _split_sum(np.matmul(endo, slot_matrix(phi)), _DIAMOND_TAKE, _DIAMOND_SIGN)
+
+
+def _contract3(sigma: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """raw - raw^T, raw = S(sigma) S(phi)^T: `triple_contract` / 3, and
+    `lattice.torsion` * 32."""
+    raw = np.matmul(slot_matrix(sigma), np.swapaxes(slot_matrix(phi), -1, -2))
+    return raw - np.swapaxes(raw, -1, -2)
 
 
 def triple_contract(sigma: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Three-index contraction inverting `diamond` on the 7-summand.
+    """Three-index contraction inverting `diamond` on the 7-summand: the skew
+    part of sigma_ajkl phi_bjkl, summed over all j, k, l.
 
     For beta in the 7-summand, triple_contract(diamond(beta, phi), phi)
     equals 96 beta; the 21-summand is unrecoverable (kernel of diamond),
     so invert by post-composing with pi7 and dividing by 96.
     """
-    raw = np.einsum("...ajkl,...bjkl->...ab", sigma, phi)
-    return 0.5 * (raw - np.swapaxes(raw, -1, -2))
+    return 3.0 * _contract3(sigma, phi)
 
 
 def decompose3(gamma: np.ndarray, phi: np.ndarray):
-    """Split a 3-form into a vector part and the 48-summand remainder.
-
-    Returns (x, gamma48) with gamma reconstructed as x contracted into phi
-    plus gamma48, and gamma48 annihilated by contraction with phi.
-    """
-    x = np.einsum("...ijk,...ijkm->...m", gamma, phi) / 42.0
-    gamma8 = np.einsum("...l,...ijkl->...ijk", x, phi)
-    return x, gamma - gamma8
+    """Split a canonical (...,56) 3-form into a vector part and the
+    48-summand remainder: (x, gamma48) with gamma = x_l phi_ijkl + gamma48,
+    gamma48 annihilated by phi.  x = -S(phi) gamma / 7, and x_l phi_ijkl is
+    -x S(phi)."""
+    s_phi = slot_matrix(phi)
+    x = np.matmul(s_phi, gamma[..., None])[..., 0] / -7.0
+    return x, gamma + np.matmul(x[..., None, :], s_phi)[..., 0, :]
 
 
 def endo_split(endo: np.ndarray, phi: np.ndarray):

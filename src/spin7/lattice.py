@@ -28,7 +28,7 @@ import numpy as np
 
 # unpack4 is unused here but stays bound: the benchmark tracer's own test
 # (perfbench/test_spantrace.py) wraps and restores `lattice.unpack4`
-from .algebra import pi21, slot_matrix, unpack4  # noqa: F401
+from .algebra import _contract3, pi21, unpack4  # noqa: F401
 
 __all__ = [
     "as_number",
@@ -220,15 +220,12 @@ def torsion(spec: LatticeSpec, phi_canon: np.ndarray) -> np.ndarray:
     """Torsion field T[..., i, a, b], skew in (a, b): slice i is T_m on the
     active axis m = spec.active_axes[i]; T_m = 0 off them is not stored.
 
-    T_m = (1/96) (d_m phi . phi), contracted over three slots.  The full
-    contraction is 6 times the sum over ascending triples, one product of
-    slot matrices S(d_m phi) S(phi)^T per point and axis.
+    T_m = (1/96) triple_contract(d_m phi, phi).  The full contraction is 6
+    times the sum over ascending triples, one product of slot matrices
+    S(d_m phi) S(phi)^T per point and axis (`algebra._contract3`).
     """
-    s_grad = slot_matrix(fd_gradient_generic(spec, phi_canon))    # grid + (k, 8, 56)
-    s_phi = slot_matrix(phi_canon)[..., None, :, :]                # grid + (1, 8, 56)
-    raw = np.matmul(s_grad, np.swapaxes(s_phi, -1, -2))
-    # 0.5 * 6 / 96 = 1/32, a power of two
-    return (raw - np.swapaxes(raw, -1, -2)) / 32.0
+    # 0.5 * 6 / 96 = 1/32, a power of two; triple_contract / 96 would round twice
+    return _contract3(fd_gradient_generic(spec, phi_canon), phi_canon[..., None, :]) / 32.0
 
 
 def div_torsion(spec: LatticeSpec, t_field: np.ndarray) -> np.ndarray:

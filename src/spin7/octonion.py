@@ -21,7 +21,6 @@ __all__ = [
     "OCT_TABLE",
     "oct_mul",
     "oct_conj",
-    "right_mult_matrix",
     "multiplication_table_rows",
 ]
 
@@ -74,11 +73,6 @@ def oct_conj(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out[..., 1:] *= -1.0
     return out
-
-
-def right_mult_matrix(x: np.ndarray) -> np.ndarray:
-    """Matrix M with M[a, b] = <e_a * x, e_b>; skew when x is imaginary."""
-    return np.einsum("ajb,...j->...ab", OCT_TABLE, x)
 
 
 def multiplication_table_rows() -> list[str]:

@@ -111,7 +111,7 @@ def rotate_form(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     contracts r.
 
     Group action compatible with `diamond`:
-    d/dt rotate_form(so8_exp(t a), phi) at t=0 equals pack4(diamond(a, unpack4(phi))).
+    d/dt rotate_form(so8_exp(t a), phi) at t=0 equals diamond(a, phi).
     On the pair matrix the action is P -> L P L^T, with L[(ij), (pq)] =
     r_ip r_jq - r_iq r_jp the 2x2 minors of r (its action on 2-forms): the
     pullback of phi by any 8x8 r, singular or not; callers pass rotations.

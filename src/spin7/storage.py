@@ -93,8 +93,9 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
     Raises CheckpointError for a file that is not a version-1 checkpoint, a
     header that is not a JSON object of the expected keys, a header number
     (`t`, `step`, `prev_record`, the lattice's) that is not a finite number
-    of its kind, or a payload of the wrong size or holding a value that is
-    not finite.  OSError from reading the file passes through.
+    of its kind, a negative `t` or `step` (a run counts up from 0), or a
+    payload of the wrong size or holding a value that is not finite.  OSError
+    from reading the file passes through.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -112,6 +113,8 @@ def read_checkpoint(path: str) -> LoadedCheckpoint:
         header = as_object(json.loads(blob[16:16 + hlen].decode("utf-8")), "header")
         spec = LatticeSpec.from_dict(header["lattice"])
         t, step = as_number(float, header["t"], "t"), as_number(int, header["step"], "step")
+        if t < 0 or step < 0:
+            raise ValueError(f"t and step must be >= 0, got t={t!r}, step={step!r}")
         if as_number(float, header.get("metric_scale", 1.0), "metric_scale") != 1.0:
             # a legacy conformal factor: rescaled states now live on a larger period
             raise ValueError("metric_scale is no longer read; re-run `spin7 rescale` "

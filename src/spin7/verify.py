@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, lattice, orbit
-from .algebra import (PHI0, decompose3, decompose4, diamond, endo_split, form_inner,
-                      hodge_star4, lambda_op, metric_from_form, pack4, pi7, pi21,
-                      triple_contract, unpack4)
+from .algebra import (PHI0C, decompose3, decompose4, diamond, endo_split, hodge_star4,
+                      lambda_op, metric_from_form, pi7, pi21, slot_matrix, triple_contract,
+                      unpack4)
 from .flow import initial_data
 from .lattice import LatticeSpec
 from .octonion import OCT_TABLE
@@ -96,10 +96,10 @@ def run_suite(octonion_table: np.ndarray | None = None) -> list[IdentityResult]:
     out: list[IdentityResult] = []
 
     if octonion_table is None:
-        table, phi = OCT_TABLE, PHI0
+        table, phic = OCT_TABLE, PHI0C
     else:
-        table, phi = octonion_table, algebra._build_cayley(octonion_table)
-    phic = pack4(phi)    # the projections and the rotation take canonical forms
+        table, phic = octonion_table, algebra._build_cayley(octonion_table)
+    phi = unpack4(phic)    # dense, for the checks written in index notation
 
     # composition algebra
     a = rng.standard_normal((64, 8))
@@ -112,12 +112,12 @@ def run_suite(octonion_table: np.ndarray | None = None) -> list[IdentityResult]:
 
     # contraction identities on the form and its rotations
     rots = _rotation_bank(rng, N_ROTATIONS)
-    phis = np.concatenate([phi[None], unpack4(orbit.rotate_form(rots, phic))], axis=0)
+    phis = unpack4(np.concatenate([phic[None], orbit.rotate_form(rots, phic)], axis=0))
     _contraction_identities(phis, out)
 
     # self-duality under the standard orientation
     out.append(IdentityResult("self-duality star(form) = form",
-                              float(np.abs(hodge_star4(phi) - phi).max()), IDENTITY_TOL))
+                              float(np.abs(hodge_star4(phic) - phic).max()), IDENTITY_TOL))
 
     # 2-form projections
     beta = rng.standard_normal((8, 8))
@@ -138,44 +138,42 @@ def run_suite(octonion_table: np.ndarray | None = None) -> list[IdentityResult]:
                               float(np.abs(lhs - rhs).max()), IDENTITY_TOL))
 
     # lambda operator eigenstructure
-    sig = rng.standard_normal((8,) * 4)
-    sig = pack4(sig)  # symmetrize via canonical roundtrip
-    sig = unpack4(sig)
-    parts = decompose4(sig, phi)
+    sig = rng.standard_normal(70)
+    parts = decompose4(sig, phic)
     errs = [np.abs(sum(parts) - sig).max()]
     for part, mu in zip(parts, (-24.0, -12.0, 4.0, 0.0)):
-        errs.append(np.abs(lambda_op(part, phi) - mu * part).max())
+        errs.append(np.abs(lambda_op(part, phic) - mu * part).max())
     for i in range(4):
         for j in range(i + 1, 4):
-            errs.append(abs(form_inner(parts[i], parts[j], 4)))
+            errs.append(abs(parts[i] @ parts[j]))
     out.append(IdentityResult("4-form eigen-decomposition (-24,-12,4,0)",
                               float(max(errs)), 1e-11))
 
     # diamond calculus
     out.append(IdentityResult("metric acts with net degree 4",
-                              float(np.abs(diamond(np.eye(8), phi) - 4 * phi).max()),
+                              float(np.abs(diamond(np.eye(8), phic) - 4 * phic).max()),
                               IDENTITY_TOL))
     out.append(IdentityResult("21-summand is the diamond kernel",
-                              float(np.abs(diamond(b21, phi)).max()), IDENTITY_TOL))
+                              float(np.abs(diamond(b21, phic)).max()), IDENTITY_TOL))
     a_endo = rng.standard_normal((8, 8))
     abar = 0.25 * np.trace(a_endo) * np.eye(8) - a_endo.T
     out.append(IdentityResult("hodge of diamond via transposed endomorphism",
-                              float(np.abs(hodge_star4(diamond(a_endo, phi))
-                                           - diamond(abar, phi)).max()), IDENTITY_TOL))
+                              float(np.abs(hodge_star4(diamond(a_endo, phic))
+                                           - diamond(abar, phic)).max()), IDENTITY_TOL))
     b_endo = rng.standard_normal((8, 8))
     tr_a, a0, a7, _ = endo_split(a_endo, phic)
     tr_b, b0, b77, _ = endo_split(b_endo, phic)
-    inner_lhs = form_inner(diamond(a_endo, phi), diamond(b_endo, phi), 4)
+    inner_lhs = diamond(a_endo, phic) @ diamond(b_endo, phic)
     inner_rhs = 3.5 * tr_a * tr_b + 4 * np.trace(a0 @ b0) - 16 * np.trace(a7 @ b77)
     out.append(IdentityResult("diamond inner-product formula (7/2, 4, -16)",
                               float(abs(inner_lhs - inner_rhs)), 1e-10))
     out.append(IdentityResult("inner products 14 / 224",
-                              float(max(abs(form_inner(phi, phi, 4) - 14.0),
-                                        abs(form_inner(diamond(np.eye(8), phi),
-                                                       diamond(np.eye(8), phi), 4) - 224.0))),
+                              float(max(abs(phic @ phic - 14.0),
+                                        abs(diamond(np.eye(8), phic) @ diamond(np.eye(8), phic)
+                                            - 224.0))),
                               IDENTITY_TOL))
     out.append(IdentityResult("triple contraction inverts diamond (96)",
-                              float(np.abs(triple_contract(diamond(b7, phi), phi)
+                              float(np.abs(triple_contract(diamond(b7, phic), phic)
                                            - 96 * b7).max()), 1e-10))
 
     # representation dimensions
@@ -188,27 +186,25 @@ def run_suite(octonion_table: np.ndarray | None = None) -> list[IdentityResult]:
     sym_basis[np.arange(36), i, j] = sym_basis[np.arange(36), j, i] = 1.0
     sym_basis -= np.trace(sym_basis, axis1=1, axis2=2)[:, None, None] / 8.0 * np.eye(8)
     ranks = (
-        _rank_of(diamond(np.eye(8)[None], phi)),
-        _rank_of(diamond(sym_basis, phi)),
-        _rank_of(diamond(pi7(skew_basis, phic), phi)),
-        _rank_of(diamond(pi21(skew_basis, phic), phi)),
+        _rank_of(diamond(np.eye(8)[None], phic)),
+        _rank_of(diamond(sym_basis, phic)),
+        _rank_of(diamond(pi7(skew_basis, phic), phic)),
+        _rank_of(diamond(pi21(skew_basis, phic), phic)),
     )
     dim_err = float(np.abs(np.array(ranks) - np.array([1, 35, 7, 0])).max())
     out.append(IdentityResult("diamond image dimensions (1, 35, 7, 0)", dim_err, 0.5))
-    lam_dims = []
-    rnd = unpack4(pack4(rng.standard_normal((70,) + (8,) * 4)))
-    for idx in range(4):
-        lam_dims.append(_rank_of(decompose4(rnd, phi)[idx]))
+    lam_dims = [_rank_of(part) for part in decompose4(rng.standard_normal((70, 70)), phic)]
     dim_err2 = float(np.abs(np.array(lam_dims) - np.array([1, 7, 27, 35])).max())
     out.append(IdentityResult("4-form summand dimensions (1, 7, 27, 35)", dim_err2, 0.5))
 
-    # 3-form split
+    # 3-form split, canonical: x_l phi_tl = -(x S)_t for S the slot matrix, and
+    # the annihilator g48_ijk phi_ijkl, summed over all ijk, is -6 S g48
+    s_phi = slot_matrix(phic)
     x = rng.standard_normal(8)
-    gamma = np.einsum("l,ijkl->ijk", x, phi) + algebra.unpack3(rng.standard_normal(56))
-    xr, g48 = decompose3(gamma, phi)
-    recon = np.einsum("l,ijkl->ijk", xr, phi) + g48
-    errs = [np.abs(recon - gamma).max(),
-            np.abs(np.einsum("ijk,ijkl->l", g48, phi)).max()]
+    gamma = -(x @ s_phi) + rng.standard_normal(56)
+    xr, g48 = decompose3(gamma, phic)
+    errs = [np.abs(g48 - xr @ s_phi - gamma).max(),
+            6.0 * np.abs(s_phi @ g48).max()]
     out.append(IdentityResult("3-form split (vector part + annihilator)",
                               float(max(errs)), 1e-10))
 
@@ -222,8 +218,7 @@ def run_suite(octonion_table: np.ndarray | None = None) -> list[IdentityResult]:
         g_err = float(np.abs(metric_from_form(phi) - np.eye(8)).max())
         c = 1.7
         g_scale = float(np.abs(metric_from_form(c**4 * phi) - c * c * np.eye(8)).max())
-        g_rot = float(np.abs(metric_from_form(unpack4(orbit.rotate_form(rots[:8], phic)))
-                             - np.eye(8)).max())
+        g_rot = float(np.abs(metric_from_form(phis[1:9]) - np.eye(8)).max())
         out.append(IdentityResult("induced metric (identity, scaling, rotations)",
                                   max(g_err, g_scale, g_rot), METRIC_TOL))
     except algebra.DegenerateFormError:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spin7.algebra import (PHI0, QUADS, TRIPLES, DegenerateFormError, decompose3,
-                           decompose4, diamond, endo_split, form_inner, hodge_star4,
-                           lambda_op, metric_from_form, pack4, pi7, pi21,
-                           triple_contract, unpack3, unpack4)
+                           decompose4, diamond, endo_split, hodge_star4, lambda_op,
+                           metric_from_form, pack4, pi7, pi21, triple_contract, unpack3,
+                           unpack4)
 from spin7.orbit import rotate_form, so8_exp
 
 from conftest import PHI0C
@@ -57,61 +57,46 @@ def test_identities_survive_rotation(rng):
 
 
 def test_hodge_on_coordinate_form():
-    sigma = np.zeros((8,) * 4)
     canon = np.zeros(70)
     canon[QUADS.index((0, 1, 2, 3))] = 1.0
-    sigma = unpack4(canon)
-    star = hodge_star4(sigma)
-    assert star[4, 5, 6, 7] == 1.0
-    assert np.sum(np.abs(pack4(star))) == 1.0
+    star = hodge_star4(canon)
+    assert star[QUADS.index((4, 5, 6, 7))] == 1.0
+    assert np.sum(np.abs(star)) == 1.0
 
 
 def test_hodge_involution(rng):
-    sigma = unpack4(rng.standard_normal(70))
-    np.testing.assert_allclose(hodge_star4(hodge_star4(sigma)), sigma, atol=1e-14)
+    sigma = rng.standard_normal((4, 70))
+    np.testing.assert_array_equal(hodge_star4(hodge_star4(sigma)), sigma)
 
 
 def test_cayley_self_dual():
-    np.testing.assert_array_equal(hodge_star4(PHI0), PHI0)
+    np.testing.assert_array_equal(hodge_star4(PHI0C), PHI0C)
 
 
 def test_35_part_anti_self_dual(rng):
-    sigma = unpack4(rng.standard_normal(70))
-    part35 = decompose4(sigma, PHI0)[3]
+    sigma = rng.standard_normal(70)
+    part35 = decompose4(sigma, PHI0C)[3]
     np.testing.assert_allclose(hodge_star4(part35), -part35, atol=1e-12)
 
 
 def test_self_dual_parts(rng):
-    sigma = unpack4(rng.standard_normal(70))
-    p1, p7, p27, _ = decompose4(sigma, PHI0)
+    sigma = rng.standard_normal(70)
+    p1, p7, p27, _ = decompose4(sigma, PHI0C)
     for p in (p1, p7, p27):
         np.testing.assert_allclose(hodge_star4(p), p, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# inner product
+# inner product: the dot product of canonical components
 
 
 def test_inner_cayley_is_14():
-    assert abs(form_inner(PHI0, PHI0, 4) - 14.0) < 1e-13
-
-
-def test_inner_basis_two_form():
-    beta = np.zeros((8, 8))
-    beta[0, 1], beta[1, 0] = 1.0, -1.0
-    assert form_inner(beta, beta, 2) == 1.0
+    assert abs(PHI0C @ PHI0C - 14.0) < 1e-13
 
 
 def test_inner_g_diamond_224():
-    gd = diamond(I8, PHI0)
-    assert abs(form_inner(gd, gd, 4) - 224.0) < 1e-12
-
-
-def test_inner_degree_mismatch():
-    with pytest.raises(ValueError):
-        form_inner(PHI0, PHI0, 5)
-    with pytest.raises(ValueError):
-        form_inner(np.zeros((8, 8)), np.zeros((8, 8)), 3)
+    gd = diamond(I8, PHI0C)
+    assert abs(gd @ gd - 224.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -148,46 +133,45 @@ def test_21_four_term_identity(random_skew):
 
 
 def test_lambda_eigenvalue_on_cayley():
-    np.testing.assert_allclose(lambda_op(PHI0, PHI0), -24 * PHI0, atol=1e-12)
+    np.testing.assert_allclose(lambda_op(PHI0C, PHI0C), -24 * PHI0C, atol=1e-12)
 
 
 def test_lambda_eigenvalue_35(rng):
     a0 = rng.standard_normal((8, 8))
     a0 = 0.5 * (a0 + a0.T)
     a0 -= np.trace(a0) / 8 * I8
-    img = diamond(a0, PHI0)
-    np.testing.assert_allclose(lambda_op(img, PHI0), 0 * img, atol=1e-12)
+    img = diamond(a0, PHI0C)
+    np.testing.assert_allclose(lambda_op(img, PHI0C), 0 * img, atol=1e-12)
 
 
 def test_lambda_eigenvalue_7(random_skew):
-    img = diamond(pi7(random_skew, PHI0C), PHI0)
-    np.testing.assert_allclose(lambda_op(img, PHI0), -12 * img, atol=1e-11)
+    img = diamond(pi7(random_skew, PHI0C), PHI0C)
+    np.testing.assert_allclose(lambda_op(img, PHI0C), -12 * img, atol=1e-11)
 
 
 def test_decompose4_of_cayley():
-    parts = decompose4(PHI0, PHI0)
-    np.testing.assert_allclose(parts[0], PHI0, atol=1e-12)
+    parts = decompose4(PHI0C, PHI0C)
+    np.testing.assert_allclose(parts[0], PHI0C, atol=1e-12)
     for p in parts[1:]:
-        np.testing.assert_allclose(p, 0 * PHI0, atol=1e-12)
+        np.testing.assert_allclose(p, 0 * PHI0C, atol=1e-12)
 
 
 @given(canon70)
 @settings(max_examples=25, deadline=None)
 def test_decompose4_reconstruction_and_orthogonality(canon):
-    sigma = unpack4(canon)
-    parts = decompose4(sigma, PHI0)
-    np.testing.assert_allclose(sum(parts), sigma, atol=1e-10)
+    parts = decompose4(canon, PHI0C)
+    np.testing.assert_allclose(sum(parts), canon, atol=1e-10)
     scale = max(1.0, float(np.abs(canon).max()) ** 2)
     for i in range(4):
         for j in range(i + 1, 4):
-            assert abs(form_inner(parts[i], parts[j], 4)) < 1e-9 * scale
+            assert abs(parts[i] @ parts[j]) < 1e-9 * scale
 
 
 def test_decompose4_projector_algebra(rng):
-    sigma = unpack4(rng.standard_normal(70))
-    parts = decompose4(sigma, PHI0)
+    sigma = rng.standard_normal(70)
+    parts = decompose4(sigma, PHI0C)
     for i, p in enumerate(parts):
-        again = decompose4(p, PHI0)
+        again = decompose4(p, PHI0C)
         np.testing.assert_allclose(again[i], p, atol=1e-11)
         for j, q in enumerate(again):
             if j != i:
@@ -195,15 +179,8 @@ def test_decompose4_projector_algebra(rng):
 
 
 def test_summand_dimensions():
-    rng = np.random.default_rng(0)
-    basis_images = [[] for _ in range(4)]
-    for c in range(70):
-        canon = np.zeros(70)
-        canon[c] = 1.0
-        parts = decompose4(unpack4(canon), PHI0)
-        for i, p in enumerate(parts):
-            basis_images[i].append(pack4(p))
-    dims = [np.linalg.matrix_rank(np.array(v), tol=1e-8) for v in basis_images]
+    # the parts of the 70 canonical basis forms span each summand
+    dims = [np.linalg.matrix_rank(p, tol=1e-8) for p in decompose4(np.eye(70), PHI0C)]
     assert dims == [1, 7, 27, 35]
 
 
@@ -212,18 +189,18 @@ def test_summand_dimensions():
 
 
 def test_diamond_of_metric():
-    np.testing.assert_allclose(diamond(I8, PHI0), 4 * PHI0, atol=1e-13)
+    np.testing.assert_allclose(diamond(I8, PHI0C), 4 * PHI0C, atol=1e-13)
 
 
 def test_diamond_kernel_is_21(random_skew):
     b21 = pi21(random_skew, PHI0C)
-    assert np.abs(diamond(b21, PHI0)).max() < 1e-12
+    assert np.abs(diamond(b21, PHI0C)).max() < 1e-12
 
 
 def test_diamond_hodge_transpose(rng):
     a = rng.standard_normal((8, 8))
     abar = 0.25 * np.trace(a) * I8 - a.T
-    np.testing.assert_allclose(hodge_star4(diamond(a, PHI0)), diamond(abar, PHI0),
+    np.testing.assert_allclose(hodge_star4(diamond(a, PHI0C)), diamond(abar, PHI0C),
                                atol=1e-12)
 
 
@@ -232,7 +209,7 @@ def test_diamond_inner_product_formula(rng):
     b = rng.standard_normal((8, 8))
     tr_a, a0, a7, _ = endo_split(a, PHI0C)
     tr_b, b0, b7, _ = endo_split(b, PHI0C)
-    lhs = form_inner(diamond(a, PHI0), diamond(b, PHI0), 4)
+    lhs = diamond(a, PHI0C) @ diamond(b, PHI0C)
     rhs = 3.5 * tr_a * tr_b + 4 * np.trace(a0 @ b0) - 16 * np.trace(a7 @ b7)
     assert abs(lhs - rhs) < 1e-10
 
@@ -252,7 +229,7 @@ def test_diamond_image_dimensions():
 
     def rank(mats):
         return np.linalg.matrix_rank(
-            np.array([diamond(m, PHI0).ravel() for m in mats]), tol=1e-8)
+            np.array([diamond(m, PHI0C) for m in mats]), tol=1e-8)
 
     assert rank([I8]) == 1
     assert rank(sym0) == 35
@@ -262,21 +239,21 @@ def test_diamond_image_dimensions():
 
 def test_triple_contract_inverts_diamond(random_skew):
     b7 = pi7(random_skew, PHI0C)
-    np.testing.assert_allclose(triple_contract(diamond(b7, PHI0), PHI0), 96 * b7,
+    np.testing.assert_allclose(triple_contract(diamond(b7, PHI0C), PHI0C), 96 * b7,
                                atol=1e-11)
 
 
 def test_triple_contract_zero_and_kernel_content():
-    assert np.abs(triple_contract(np.zeros((8,) * 4), PHI0)).max() == 0.0
+    assert np.abs(triple_contract(np.zeros(70), PHI0C)).max() == 0.0
     # the reference form itself carries no 7-summand content
-    assert np.abs(pi7(triple_contract(PHI0, PHI0), PHI0C)).max() < 1e-12
+    assert np.abs(pi7(triple_contract(PHI0C, PHI0C), PHI0C)).max() < 1e-12
 
 
 def test_triple_contract_kills_other_summands(rng):
     a0 = rng.standard_normal((8, 8))
     a0 = 0.5 * (a0 + a0.T)
     a0 -= np.trace(a0) / 8 * I8
-    assert np.abs(pi7(triple_contract(diamond(a0, PHI0), PHI0), PHI0C)).max() < 1e-11
+    assert np.abs(pi7(triple_contract(diamond(a0, PHI0C), PHI0C), PHI0C)).max() < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +262,20 @@ def test_triple_contract_kills_other_summands(rng):
 
 def test_decompose3_recovers_vector():
     x = I8[1]
-    gamma = np.einsum("l,ijkl->ijk", x, PHI0)
-    xr, g48 = decompose3(gamma, PHI0)
+    gamma = pack3(np.einsum("l,ijkl->ijk", x, PHI0))
+    xr, g48 = decompose3(gamma, PHI0C)
     np.testing.assert_allclose(xr, x, atol=1e-13)
     np.testing.assert_allclose(g48, 0 * g48, atol=1e-12)
 
 
 def test_decompose3_annihilator(rng):
-    gamma = unpack3(rng.standard_normal(56))
-    _, g48 = decompose3(gamma, PHI0)
-    np.testing.assert_allclose(np.einsum("ijk,ijkl->l", g48, PHI0), np.zeros(8),
+    _, g48 = decompose3(rng.standard_normal(56), PHI0C)
+    np.testing.assert_allclose(np.einsum("ijk,ijkl->l", unpack3(g48), PHI0), np.zeros(8),
                                atol=1e-11)
 
 
 def test_decompose3_zero():
-    x, g48 = decompose3(np.zeros((8,) * 3), PHI0)
+    x, g48 = decompose3(np.zeros(56), PHI0C)
     assert np.abs(x).max() == 0.0 and np.abs(g48).max() == 0.0
 
 

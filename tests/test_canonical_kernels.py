@@ -1,10 +1,11 @@
-"""The flow-step kernels on canonical storage against their dense references.
+"""The canonical-storage kernels against their dense references.
 
-`lattice.torsion`, `pi7`/`pi21` and `orbit.rotate_form` contract the 70
-stored components through the slot and pair matrices; the dense einsum
-torsion, the dense 2-form contraction and the four-round GEMM rotation they
-replaced live on here as oracles.  Every comparison uses the tolerance
-1e-13 * max(1, max|reference|).
+`lattice.torsion`, `pi7`/`pi21`, `orbit.rotate_form` and the identity
+kernels (`diamond`, `lambda_op`, `decompose4`, `triple_contract`,
+`decompose3`, `hodge_star4`) contract the stored components through the slot
+and pair matrices; the dense einsum kernels they replaced live on here as
+oracles, with the dense inner product that the canonical dot product
+replaced.  Every comparison uses the tolerance 1e-13 * max(1, max|reference|).
 """
 
 import sys
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 from spin7 import algebra, flow, lattice
-from spin7.algebra import (PAIRS, PHI0, TRIPLES, pack4, pair_matrix, pi7, pi21,
-                           slot_matrix, unpack4)
+from spin7.algebra import (LAMBDA_EIGENVALUES, PAIRS, PHI0, TRIPLES, decompose3, decompose4,
+                           diamond, endo_split, hodge_star4, lambda_op, pack4, pair_matrix,
+                           pi7, pi21, slot_matrix, triple_contract, unpack3, unpack4)
 from spin7.flow import flow_step, initial_data
 from spin7.lattice import LatticeSpec
 from spin7.orbit import rotate_form, so8_exp
@@ -53,6 +55,114 @@ def dense_rotation(r, sigma):
         prod = np.matmul(out.reshape(-1, 512, 8), rt)
         out = np.moveaxis(prod.reshape(out.shape), -1, 1)
     return out.reshape(shape)
+
+
+def dense_inner(sigma, tau):
+    """<sigma, tau> = (1/4!) full index contraction of dense 4-forms."""
+    return np.sum(sigma * tau, axis=(-4, -3, -2, -1)) / 24.0
+
+
+def dense_hodge_star4(sigma):
+    canon = pack4(sigma)
+    out = np.empty_like(canon)
+    out[..., algebra._HODGE_COMP] = canon * algebra._HODGE_SIGN
+    return unpack4(out)
+
+
+def dense_lambda_op(sigma, phi):
+    sp = np.einsum("...ijmn,...mnkl->...ijkl", sigma, phi)
+    t = lambda order: np.einsum(f"...{order}->...ijkl", sp)
+    return sp + t("iklj") + t("iljk") + t("jkil") + t("jlki") + t("klij")
+
+
+def dense_decompose4(sigma, phi):
+    """Spectral projectors of dense_lambda_op by Lagrange interpolation."""
+    mus = [LAMBDA_EIGENVALUES[d] for d in (1, 7, 27, 35)]
+    powers = [sigma]
+    for _ in range(3):
+        powers.append(dense_lambda_op(powers[-1], phi))
+    parts = []
+    for lam in mus:
+        others = [mu for mu in mus if mu != lam]
+        c2 = -sum(others)
+        c1 = others[0] * others[1] + others[0] * others[2] + others[1] * others[2]
+        c0 = -others[0] * others[1] * others[2]
+        den = np.prod([lam - mu for mu in others])
+        parts.append((powers[3] + c2 * powers[2] + c1 * powers[1] + c0 * powers[0]) / den)
+    return tuple(parts)
+
+
+def dense_diamond(endo, phi):
+    return (np.einsum("...ip,...pjkl->...ijkl", endo, phi)
+            + np.einsum("...jp,...ipkl->...ijkl", endo, phi)
+            + np.einsum("...kp,...ijpl->...ijkl", endo, phi)
+            + np.einsum("...lp,...ijkp->...ijkl", endo, phi))
+
+
+def dense_triple_contract(sigma, phi):
+    raw = np.einsum("...ajkl,...bjkl->...ab", sigma, phi)
+    return 0.5 * (raw - np.swapaxes(raw, -1, -2))
+
+
+def dense_decompose3(gamma, phi):
+    x = np.einsum("...ijk,...ijkm->...m", gamma, phi) / 42.0
+    gamma8 = np.einsum("...l,...ijkl->...ijk", x, phi)
+    return x, gamma - gamma8
+
+
+LEADS = [(), (5,), (3, 4)]
+
+
+def kernel_inputs(lead, seed=7):
+    """Random sigma, endo and 3-form on `lead`, with an orbit form and a
+    noise form (the kernels are bilinear, so any form is a valid input)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(lead + (8, 8))
+    on_orbit = rotate_form(so8_exp(a - np.swapaxes(a, -1, -2)), PHI0C)
+    return (rng.standard_normal(lead + (70,)), rng.standard_normal(lead + (8, 8)),
+            rng.standard_normal(lead + (56,)), (on_orbit, rng.standard_normal(lead + (70,))))
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=str)
+def test_identity_kernels_match_dense_references(lead):
+    sigma, endo, gamma, phis = kernel_inputs(lead)
+    assert_matches(hodge_star4(sigma), pack4(dense_hodge_star4(unpack4(sigma))))
+    # the inner product is the dot product of the canonical components
+    assert_matches(np.sum(sigma * phis[1], axis=-1), dense_inner(unpack4(sigma), unpack4(phis[1])))
+    for phi in phis:
+        sig_d, phi_d = unpack4(sigma), unpack4(phi)
+        assert_matches(diamond(endo, phi), pack4(dense_diamond(endo, phi_d)))
+        assert_matches(lambda_op(sigma, phi), pack4(dense_lambda_op(sig_d, phi_d)))
+        for part, ref in zip(decompose4(sigma, phi), dense_decompose4(sig_d, phi_d)):
+            assert_matches(part, pack4(ref))
+        assert_matches(triple_contract(sigma, phi), dense_triple_contract(sig_d, phi_d))
+        x, rest = decompose3(gamma, phi)
+        x_ref, rest_ref = dense_decompose3(unpack3(gamma), phi_d)
+        assert_matches(x, x_ref)
+        assert_matches(unpack3(rest), rest_ref)
+
+
+def test_diamond_broadcasts_a_batch_of_endomorphisms_on_one_form(rng):
+    endo = rng.standard_normal((6, 8, 8))
+    assert_matches(diamond(endo, PHI0C), pack4(dense_diamond(endo, PHI0)))
+    assert_matches(diamond(endo[0], np.stack([PHI0C, -PHI0C])),
+                   pack4(dense_diamond(endo[0], np.stack([PHI0, -PHI0]))))
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=str)
+def test_identity_kernels_build_no_dense_form(lead, monkeypatch):
+    sigma, endo, gamma, (phi, _) = kernel_inputs(lead)
+    calls = count_unpack4(monkeypatch)
+    hodge_star4(sigma)
+    diamond(endo, phi)
+    lambda_op(sigma, phi)
+    decompose4(sigma, phi)
+    triple_contract(sigma, phi)
+    decompose3(gamma, phi)
+    pi7(endo, phi)
+    pi21(endo, phi)
+    endo_split(endo, phi)
+    assert calls == []
 
 
 def test_slot_and_pair_matrix_layout(rng):
@@ -126,8 +236,9 @@ def test_rotation_of_the_reference_form_stays_isometric(rng):
     np.testing.assert_allclose(phi, dense_rotation(so8_exp(a - a.T), PHI0), atol=1e-12)
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_flow_step_builds_no_dense_form(name, monkeypatch):
+def count_unpack4(monkeypatch):
+    """Wrap every spin7 module binding of unpack4, as the benchmark tracer
+    wraps them; returns the list the wrappers append each call's shape to."""
     calls = []
     real = algebra.unpack4
 
@@ -135,12 +246,17 @@ def test_flow_step_builds_no_dense_form(name, monkeypatch):
         calls.append(canon.shape)
         return real(canon)
 
-    # every module binding of unpack4, as the benchmark tracer wraps them
     for mod_name, mod in list(sys.modules.items()):
         if mod is not None and (mod_name == "spin7" or mod_name.startswith("spin7.")):
             for key, value in list(vars(mod).items()):
                 if value is real:
                     monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_flow_step_builds_no_dense_form(name, monkeypatch):
+    calls = count_unpack4(monkeypatch)
     spec = SPECS[name]
     st = initial_data("random-smooth", {"eps": 0.05}, spec, seed=1)
     calls.clear()

@@ -53,12 +53,41 @@ def test_verify_passes():
     assert "FAIL" not in proc.stdout
 
 
+# every identity `spin7 verify` runs, in order: a check dropped or renamed fails here
+VERIFY_NAMES = [
+    "octonion composition law |ab| = |a||b|",
+    "triple-index contraction (27-term identity)",
+    "double contraction = 6gg - 6gg - 4*form",
+    "triple contraction = 42 g",
+    "full self-contraction = 336",
+    "self-duality star(form) = form",
+    "2-form projection eigenrelations (-6 / +2)",
+    "21-summand four-term identity",
+    "4-form eigen-decomposition (-24,-12,4,0)",
+    "metric acts with net degree 4",
+    "21-summand is the diamond kernel",
+    "hodge of diamond via transposed endomorphism",
+    "diamond inner-product formula (7/2, 4, -16)",
+    "inner products 14 / 224",
+    "triple contraction inverts diamond (96)",
+    "diamond image dimensions (1, 35, 7, 0)",
+    "4-form summand dimensions (1, 7, 27, 35)",
+    "3-form split (vector part + annihilator)",
+    "endomorphism split reconstruction",
+    "induced metric (identity, scaling, rotations)",
+    "spinor parametrization (square = Clifford product, isometric)",
+    "stabiliser isotropy (21-summand exponentials fix the form)",
+    "induced metric of A^* form = A^T A (GL+(8))",
+    "derivative contraction identities converge at stencil order",
+]
+
+
 def test_verify_json():
     proc = run_cli("verify", "--json")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert all(entry["passed"] for entry in report)
-    assert any("42" in entry["name"] for entry in report)
+    assert [entry["name"] for entry in report] == VERIFY_NAMES
 
 
 def test_verify_corrupted_table_fails_and_names_identity(monkeypatch, capsys):

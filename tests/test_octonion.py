@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spin7.octonion import (OCT_TABLE, multiplication_table_rows, oct_conj, oct_mul,
-                            right_mult_matrix)
+from spin7.octonion import OCT_TABLE, multiplication_table_rows, oct_conj, oct_mul
 
 E = np.eye(8)
 
@@ -58,15 +57,6 @@ def test_table_structure():
     assert set(np.unique(OCT_TABLE)) == {-1.0, 0.0, 1.0}
     rows = multiplication_table_rows()
     assert len(rows) == 7 and rows[0].startswith("e1:")
-
-
-def test_right_mult_matrix_skew_for_imaginary(rng):
-    x = rng.standard_normal(8)
-    x[0] = 0.0
-    m = right_mult_matrix(x)
-    np.testing.assert_allclose(m, -m.T, atol=1e-14)
-    # column b of row a is <e_a x, e_b>
-    assert abs(m[2, 3] - oct_mul(E[2], x)[3]) < 1e-14
 
 
 def test_batched_multiplication(rng):

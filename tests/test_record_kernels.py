@@ -220,9 +220,8 @@ def test_metric_drift_order_per_summand(dim, order, rng):
     order in the 1- and 35-summands (true metric changes) and in a 27
     direction (off the GL(8)-orbit), and second order along the 7-summand,
     which is tangent to the orbit of rotations."""
-    basis = unpack4(np.eye(70))
-    part = decompose4(basis, PHI0)[(1, 7, 27, 35).index(dim)]
-    sigma = np.einsum("n,n...->...", rng.standard_normal(70), part)
+    part = decompose4(np.eye(70), PHI0C)[(1, 7, 27, 35).index(dim)]
+    sigma = unpack4(rng.standard_normal(70) @ part)
     sigma /= np.abs(sigma).max()
     drift = [float(np.abs(metric_from_form(PHI0 + eps * sigma) - np.eye(8)).max())
              for eps in (1e-4, 1e-5)]

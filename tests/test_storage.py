@@ -88,6 +88,8 @@ def _header_of(blob: bytes) -> dict:
     lambda b: _with_header(b, dict(_header_of(b), prev_record=[True, "0.5"])),
     lambda b: _with_header(b, dict(_header_of(b), prev_record=[0.1, 0.2, 0.3])),
     lambda b: _with_header(b, dict(_header_of(b), t=float("nan"))),
+    lambda b: _with_header(b, dict(_header_of(b), step=-5)),
+    lambda b: _with_header(b, dict(_header_of(b), t=-0.5)),
     lambda b: _with_header(b, dict(_header_of(b), prev_record=[float("nan"), 1.0])),
     lambda b: _with_header(b, dict(_header_of(b),
                                    lattice=dict(_header_of(b)["lattice"], period=float("inf")))),
@@ -96,8 +98,8 @@ def _header_of(blob: bytes) -> dict:
                                    lattice=dict(_header_of(b)["lattice"], spacing=0.125))),
 ], ids=["cut-10-bytes", "non-utf8-header", "header-past-eof", "missing-key",
         "bad-lattice", "legacy-metric-scale", "metric-scale-text", "prev-record-not-numbers",
-        "prev-record-three-entries", "t-nan", "prev-record-nan", "period-infinity",
-        "payload-nan", "header-lattice-unknown-key"])
+        "prev-record-three-entries", "t-nan", "step-negative", "t-negative", "prev-record-nan",
+        "period-infinity", "payload-nan", "header-lattice-unknown-key"])
 def test_checkpoint_corruption_is_typed(tmp_path, state, capsys, corrupt):
     path = str(tmp_path / "c.s7fl")
     write_checkpoint(path, state)
