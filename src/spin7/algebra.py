@@ -38,9 +38,7 @@ __all__ = [
     "DegenerateFormError",
     "QUADS",
     "TRIPLES",
-    "pack4",
     "unpack4",
-    "unpack3",
     "PAIRS",
     "slot_matrix",
     "pair_matrix",
@@ -102,10 +100,8 @@ def _hodge_tables(tuples, rest):
 
 
 _SLOT4, _SIGN4, _GATHER4 = _index_maps(QUADS)
-_SLOT3, _SIGN3, _GATHER3 = _index_maps(TRIPLES)
+_SLOT3, _, _GATHER3 = _index_maps(TRIPLES)
 _SLOT2, _SIGN2, _GATHER2 = _index_maps(PAIRS)
-# where each canonical component sits in the flattened dense 4-form
-_FLAT4 = np.ravel_multi_index(_GATHER4, (8,) * 4)
 
 # gathers of the slot and pair matrices from canonical storage
 _S_SLOT = _SLOT4[:, _GATHER3[0], _GATHER3[1], _GATHER3[2]]
@@ -154,12 +150,6 @@ def _split_sum(matrix: np.ndarray, take: np.ndarray, sign: np.ndarray) -> np.nda
     return _signed_take(flat, take, sign).sum(axis=-2)
 
 
-def pack4(sigma: np.ndarray) -> np.ndarray:
-    """Dense (...,8,8,8,8) -> canonical (...,70)."""
-    flat = np.reshape(sigma, np.shape(sigma)[:-4] + (4096,))
-    return np.take(flat, _FLAT4, axis=-1)
-
-
 def unpack4(canon: np.ndarray) -> np.ndarray:
     """Canonical (...,70) -> dense (...,8,8,8,8)."""
     return _signed_take(canon, _SLOT4, _SIGN4)
@@ -173,10 +163,6 @@ def slot_matrix(canon: np.ndarray) -> np.ndarray:
 def pair_matrix(canon: np.ndarray) -> np.ndarray:
     """Canonical (...,70) -> pair matrix (...,28,28), P[(ab), (cd)] = phi[a, b, c, d]."""
     return _signed_take(canon, _P_SLOT, _P_SIGN)
-
-
-def unpack3(canon: np.ndarray) -> np.ndarray:
-    return _signed_take(canon, _SLOT3, _SIGN3)
 
 
 # ---------------------------------------------------------------------------

@@ -472,11 +472,14 @@ def quartic_terms(t_field: np.ndarray) -> np.ndarray:
 
 
 def _one_lattice(states) -> LatticeSpec:
-    """The lattice of one or more `states`; ValueError when they do not share one."""
-    spec, *others = {st.spec for st in states}
-    if others:
-        raise ValueError(f"states live on {1 + len(others)} incompatible lattices")
-    return spec
+    """The lattice of one or more `states`; ValueError when there are none or
+    they do not share one."""
+    specs = {st.spec for st in states}
+    if not specs:
+        raise ValueError("states: need at least one state, got none")
+    if len(specs) > 1:
+        raise ValueError(f"states live on {len(specs)} incompatible lattices")
+    return specs.pop()
 
 
 def torsion_evolution_residual(prev: FlowState, mid: FlowState, nxt: FlowState) -> float:
@@ -503,8 +506,8 @@ def theta_functional(states, center: tuple[int, ...], t0: float) -> np.ndarray:
     one value per state.
 
     Raises ValueError when t0 is not a finite number (`as_number`) or not
-    above every state time, when the states do not share one lattice, or
-    when `center` does not give one grid index per active axis."""
+    above every state time, when there are no states or they do not share
+    one lattice, or when `center` does not give one grid index per active axis."""
     t0 = as_number(float, t0, "t0")
     spec = _one_lattice(states)
     latest = max(st.t for st in states)

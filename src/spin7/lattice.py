@@ -28,7 +28,7 @@ import numpy as np
 
 # unpack4 is unused here but stays bound: the benchmark tracer's own test
 # (perfbench/test_spantrace.py) wraps and restores `lattice.unpack4`
-from .algebra import _contract3, pi21, unpack4  # noqa: F401
+from .algebra import _contract3, unpack4  # noqa: F401
 
 __all__ = [
     "as_number",
@@ -42,7 +42,6 @@ __all__ = [
     "energy",
     "max_torsion",
     "torsion_norm_sq",
-    "omega21_defect",
     "bianchi_residual",
     "ricci_residual",
     "scalar_residual",
@@ -258,12 +257,6 @@ def max_torsion(spec: LatticeSpec, t_field: np.ndarray) -> float:
 def integrate(spec: LatticeSpec, pointwise: np.ndarray) -> float:
     """Riemann sum of a pointwise scalar over the torus."""
     return float(np.sum(pointwise)) * spec.cell_volume
-
-
-def omega21_defect(spec: LatticeSpec, t_field: np.ndarray, phi_canon: np.ndarray) -> float:
-    """Max over grid and m of the Frobenius norm of pi21(T_m)."""
-    defect = pi21(np.moveaxis(t_field, -3, 0), phi_canon[None])
-    return float(np.sqrt(np.max(np.sum(defect * defect, axis=(-1, -2)))))
 
 
 def bianchi_residual(spec: LatticeSpec, t_field: np.ndarray) -> float:

@@ -20,10 +20,10 @@ from spin7.flow import (FlowConfig, flow_step, initial_data, parabolic_rescale,
                         soliton_schedule, theta_functional, entropy,
                         torsion_evolution_residual)
 from spin7.lattice import (LatticeSpec, bianchi_residual, div_torsion,
-                           grid_coordinates, omega21_defect, ricci_residual,
+                           grid_coordinates, ricci_residual,
                            scalar_residual, torsion)
 
-from conftest import PHI0C
+from conftest import PHI0C, torsion_21_defect
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -119,7 +119,7 @@ def test_criterion_04_torsion_correctness():
                  + np.einsum("xkp,xijpl->xijkl", tm, phi_d)
                  + np.einsum("xlp,xijkp->xijkl", tm, phi_d))
         recon_errs.append(float(np.abs(recon - grad).max()))
-        defect_floor.append(omega21_defect(spec, t, st.phi))
+        defect_floor.append(torsion_21_defect(t, st.phi))
         # the pointwise 21-defect of the torsion vanishes identically (the
         # triple contraction is equivariant), so the measurable stencil-order
         # defect lives in the unprojected divergence of multi-generator data

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spin7.algebra import (PHI0, QUADS, TRIPLES, DegenerateFormError, decompose3,
-                           decompose4, diamond, endo_split, hodge_star4, lambda_op,
-                           metric_from_form, pack4, pi7, pi21, triple_contract, unpack3,
-                           unpack4)
+from spin7.algebra import (PHI0, QUADS, DegenerateFormError, decompose3, decompose4, diamond,
+                           endo_split, hodge_star4, lambda_op, metric_from_form, pi7, pi21,
+                           triple_contract, unpack4)
 from spin7.orbit import rotate_form, so8_exp
 
-from conftest import PHI0C
+from conftest import PHI0C, pack3, pack4, unpack3
 
 I8 = np.eye(8)
 
@@ -277,12 +276,6 @@ def test_decompose3_annihilator(rng):
 def test_decompose3_zero():
     x, g48 = decompose3(np.zeros(56), PHI0C)
     assert np.abs(x).max() == 0.0 and np.abs(g48).max() == 0.0
-
-
-def pack3(gamma):
-    """Dense 3-form -> its 56 ascending-triple components."""
-    i, j, k = np.array(TRIPLES).T
-    return gamma[..., i, j, k]
 
 
 def test_pack3_roundtrip(rng):

@@ -15,13 +15,13 @@ import pytest
 
 from spin7 import algebra, flow, lattice
 from spin7.algebra import (LAMBDA_EIGENVALUES, PAIRS, PHI0, TRIPLES, decompose3, decompose4,
-                           diamond, endo_split, hodge_star4, lambda_op, pack4, pair_matrix,
-                           pi7, pi21, slot_matrix, triple_contract, unpack3, unpack4)
+                           diamond, endo_split, hodge_star4, lambda_op, pair_matrix, pi7,
+                           pi21, slot_matrix, triple_contract, unpack4)
 from spin7.flow import flow_step, initial_data
 from spin7.lattice import LatticeSpec
 from spin7.orbit import rotate_form, so8_exp
 
-from conftest import PHI0C
+from conftest import PHI0C, pack4, unpack3
 
 SPECS = {
     "1-axis": LatticeSpec(active_axes=(0,), points=16),

@@ -470,10 +470,11 @@ def _on_16_and_8_points():
     (lambda st: theta_functional([st], (1.5,), t0=1.0), "center"),
     (lambda st: theta_functional([st], (True,), t0=1.0), "center"),
     (lambda st: theta_functional([st], ("3",), t0=1.0), "center"),
+    (lambda st: theta_functional([], (0,), t0=1.0), "at least one state"),
 ], ids=["entropy-sigma-inf", "entropy-t-samples-fraction", "entropy-x-stride-bool",
         "theta-t0-inf", "theta-mixed-lattices", "rescale-factor-bool",
         "convexity-gap-mixed-lattices", "theta-center-fraction", "theta-center-bool",
-        "theta-center-string"])
+        "theta-center-string", "theta-no-states"])
 def test_analysis_functions_check_their_arguments(call, message):
     """Called from Python, the analysis functions refuse what the command
     line refuses: numbers by `lattice.as_number`, states on two lattices."""

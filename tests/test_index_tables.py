@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from spin7 import algebra, orbit
-from spin7.algebra import PAIRS, QUADS, TRIPLES, pack4, unpack3, unpack4
+from spin7.algebra import PAIRS, QUADS, TRIPLES, unpack4
 from spin7.flow import initial_data
 from spin7.lattice import LatticeSpec
 from spin7.octonion import OCT_TABLE, oct_conj
+
+from conftest import pack4, unpack3
 
 
 QUADS_T = np.array(QUADS).T
@@ -127,8 +129,9 @@ def test_index_maps_match_the_oracle(k, tuples):
 def test_module_index_maps_are_the_8d_maps():
     for got, want in zip((algebra._SLOT4, algebra._SIGN4), _index_maps_oracle(QUADS, 4)):
         assert_same(got, want)
-    for got, want in zip((algebra._SLOT3, algebra._SIGN3), _index_maps_oracle(TRIPLES, 3)):
-        assert_same(got, want)
+    # the 3-form sign table has no reader in the library; the builder's is
+    # pinned by test_index_maps_match_the_oracle
+    assert_same(algebra._SLOT3, _index_maps_oracle(TRIPLES, 3)[0])
     for got, want in zip((algebra._SLOT2, algebra._SIGN2), _index_maps_oracle(PAIRS, 2)):
         assert_same(got, want)
 
@@ -187,7 +190,8 @@ def test_unpack_gathers_are_contiguous_and_exact(lead):
     dense4, dense3 = unpack4(canon4), unpack3(canon3)
     assert dense4.flags.c_contiguous and dense3.flags.c_contiguous
     assert_same(dense4, canon4[..., algebra._SLOT4] * algebra._SIGN4)
-    assert_same(dense3, canon3[..., algebra._SLOT3] * algebra._SIGN3)
+    slot3, sign3, _ = _index_maps_oracle(TRIPLES, 3)
+    assert_same(dense3, canon3[..., slot3] * sign3)
     packed = pack4(dense4)
     assert packed.flags.c_contiguous
     assert_same(packed, dense4[..., QUADS_T[0], QUADS_T[1], QUADS_T[2], QUADS_T[3]])

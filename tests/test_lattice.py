@@ -6,11 +6,11 @@ from spin7.flow import (diagnostics, entropy, evaluate, flow_step, initial_data,
                         parabolic_rescale, theta_functional)
 from spin7.lattice import (LatticeSpec, _embed_m_axis, bianchi_residual, div_torsion,
                            energy, fd_gradient_embedded, fd_gradient_generic, fd_laplacian,
-                           grid_coordinates, integrate, max_torsion, omega21_defect,
+                           grid_coordinates, integrate, max_torsion,
                            ricci_residual, scalar_residual, torsion, torsion_norm_sq)
 from spin7.orbit import rotate_form, so8_exp
 
-from conftest import PHI0C, unit_pi7_generator
+from conftest import PHI0C, torsion_21_defect, unit_pi7_generator
 
 
 def observed_order(errors):
@@ -178,7 +178,7 @@ def test_omega21_defect_of_torsion_is_structural_zero():
         spec = LatticeSpec(active_axes=(0,), points=n)
         state = initial_data("random-smooth", {"eps": 0.05, "kmax": 2}, spec, seed=3)
         t = torsion(spec, state.phi)
-        assert omega21_defect(spec, t, state.phi) < 1e-13
+        assert torsion_21_defect(t, state.phi) < 1e-13
 
 
 def test_raw_divergence_21_content_decays():
@@ -202,7 +202,7 @@ def test_omega21_defect_negative_control(rng):
     noise = rng.standard_normal((8, 8))
     t_bad = t.copy()
     t_bad[:, 0] += 0.1 * pi21(noise - noise.T, state.phi)
-    assert omega21_defect(spec, t_bad, state.phi) > 1e-2
+    assert torsion_21_defect(t_bad, state.phi) > 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ import pytest
 import scipy.linalg
 
 from spin7 import orbit
-from spin7.algebra import (PHI0, decompose4, diamond, lambda_op, metric_from_form,
-                           pack4, pi7, pi21, unpack4)
+from spin7.algebra import (PHI0, decompose4, diamond, lambda_op, metric_from_form, pi7,
+                           pi21, unpack4)
 from spin7.octonion import OCT_TABLE, oct_mul
 from spin7.orbit import bryant_form, rotate_form, so8_exp, spinor_square4
 
-from conftest import PHI0C
+from conftest import PHI0C, pack4
 
 I8 = np.eye(8)
 
