@@ -20,9 +20,11 @@ P is symmetric, and it is the matrix of phi acting on 2-forms.  `diamond`
 and `lambda_op` read the products A S and P P at the splits of each
 quadruple (`_split_tables`).
 
-The reference Cayley form is built from octonion multiplication,
-Phi0(x,y,z,w) = <x, y (conj(z) w)>, antisymmetrized: `PHI0C` canonical,
-`PHI0` dense.  Its normalization is pinned by the contraction identities
+Spin(7)-forms are squares of unit spinors: `_SQUARE` holds the 70 quadratic
+forms of the square psi (x) psi under octonion multiplication, and the
+reference Cayley form is the square of psi = 1, `PHI0C` canonical and `PHI0`
+dense.  The tests pin its bytes against Phi0(x,y,z,w) = <x, y (conj(z) w)>,
+antisymmetrized; its normalization is pinned by the contraction identities
 (full self-contraction 336, triple contraction 42 g), checked to 1e-12.
 """
 
@@ -32,7 +34,7 @@ import itertools
 
 import numpy as np
 
-from .octonion import OCT_TABLE, oct_conj
+from .octonion import OCT_TABLE
 
 __all__ = [
     "DegenerateFormError",
@@ -168,22 +170,27 @@ def pair_matrix(canon: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the Cayley form
 
-def _build_cayley(table: np.ndarray = OCT_TABLE) -> np.ndarray:
-    """The canonical 4-form of the octonion product `table` (read-only); the
-    identity suite passes a corrupted table as its negative control."""
-    # f[i, j, k, l] = <e_i, e_j (conj(e_k) e_l)>, then its antisymmetric part
-    conj = oct_conj(np.ones(8))
-    f = np.einsum("klm,jmi->ijkl", table, table) * conj[:, None]
-    canon = np.zeros(70)
-    for perm in itertools.permutations(range(4)):
-        canon += _perm_sign(perm) * f[tuple(_GATHER4[p] for p in perm)]
-    canon /= 24.0
-    canon.setflags(write=False)
-    return canon
+def _square_table(table: np.ndarray = OCT_TABLE) -> np.ndarray:
+    """The quadratic forms of the spinor square under the product T = `table`:
+    left multiplication by e_l is the row-vector product psi @ T[l], so the
+    component on (i, j, k, l) is psi^T (conj_i conj_k T[l] T[k] T[j] T[i]) psi.
+    Every factor is a signed permutation matrix, so the table is exact; the
+    identity suite passes a corrupted T as its negative control."""
+    i, j, k, l = _GATHER4
+    conj = np.where(np.arange(8) == 0, 1.0, -1.0)
+    m = (conj[i] * conj[k])[:, None, None] * (table[l] @ table[k] @ table[j] @ table[i])
+    square = 0.5 * (m + np.swapaxes(m, -1, -2)) + 0.0     # + 0.0 clears the zeros' signs
+    square.setflags(write=False)
+    return square
 
 
-#: The reference Cayley 4-form, in canonical storage and dense (both read-only).
-PHI0C = _build_cayley()
+#: psi^T _SQUARE[c] psi is the c-th canonical component of the square of psi.
+_SQUARE = _square_table()
+
+#: The reference Cayley 4-form, the square of psi = 1, in canonical storage
+#: and dense (both read-only).
+PHI0C = np.ascontiguousarray(_SQUARE[:, 0, 0])
+PHI0C.setflags(write=False)
 PHI0 = unpack4(PHI0C)
 PHI0.setflags(write=False)
 

@@ -227,7 +227,8 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
       bryant-wave     spinor parametrization along a periodic sphere curve
       random-smooth   exp(A(x)) . Phi0, A a low-frequency random 7-summand field
 
-    Each but `constant` is `orbit.bryant_form(exp v)`, v an imaginary-octonion field.
+    Each is `orbit.bryant_form(exp v)`, v an imaginary-octonion field (zero for
+    `constant`, whose square is Phi0).
 
     Raises ValueError for an unknown family or profile, a params key the
     family (or its profile) does not read, or a parameter out of range.
@@ -244,7 +245,7 @@ def initial_data(family: str, params: dict, spec: LatticeSpec, seed: int = 0) ->
     as_object(params, f"params of {where}", read)
     rng = np.random.default_rng(seed)
     if family == "constant":
-        phi = np.broadcast_to(algebra.PHI0C, spec.grid_shape + (70,)).copy()
+        phi = _squared_exp(np.zeros(spec.grid_shape + (8,)))
     elif family == "rotation-field":
         # exp(theta R_u / sqrt 8) Phi0 is the square of exp(theta u / sqrt 2)
         u = _unit_direction(rng)
@@ -406,7 +407,6 @@ def run_flow(config: FlowConfig, state: FlowState | None = None,
             written = st.step
             on_checkpoint(st, prev)
 
-    exit_reason = "max_steps"
     # each state is evaluated once; its record and its step share the evaluation
     ev = evaluate(state)
     if state.step % config.diag_cadence == 0 and prev_record is None:
@@ -509,6 +509,7 @@ def theta_functional(states, center: tuple[int, ...], t0: float) -> np.ndarray:
     above every state time, when there are no states or they do not share
     one lattice, or when `center` does not give one grid index per active axis."""
     t0 = as_number(float, t0, "t0")
+    states = tuple(states)    # read once: a generator of states is consumed by the first pass
     spec = _one_lattice(states)
     latest = max(st.t for st in states)
     if not t0 > latest:
@@ -597,7 +598,8 @@ class SolitonSchedule:
             hi = min(hi, self.t_hat + 10.0) if np.isinf(hi) else hi
             ts = np.linspace(lo, hi, 64)
             ts = ts[np.abs(ts) > 1e-6]
-            dlog = self.p / ts  # (log rho)' for rho = |t|^p
+            # (log rho)' from rho itself, exact for the power laws rho = |t|^p
+            dlog = np.log(self.rho(2.0 * ts) / self.rho(ts)) / (ts * np.log(2.0))
             errs.append(float(np.abs(self.alpha(ts) + (2.0 / self.c) * dlog).max()))
         return max(errs)
 

@@ -3,13 +3,14 @@
 `rotate_form`/`so8_exp` realize the frame-change action used by the flow
 integrator.  `bryant_form` parametrizes the isometric forms by a unit spinor
 psi in the octonions: the 4-form part of psi (x) psi, read off the Clifford
-product that `spinor_square4` evaluates literally.  Every map returns
-canonical (...,70) 4-forms.
+product that `spinor_square4` evaluates literally (the oracle of the table).
+Every map returns canonical (...,70) 4-forms.
 
-The square is quadratic in psi, so one table holds it: `_SQUARE[c]` is the
-symmetric 8x8 matrix with psi^T _SQUARE[c] psi the c-th canonical component.
-Antipodal spinors give the same form, and psi = 1 gives Phi0.  The 7-summand
-of Phi0 is right multiplication R_u by an imaginary u, and for a unit u
+The square is quadratic in psi, so one table holds it: `algebra._SQUARE[c]`
+is the symmetric 8x8 matrix with psi^T _SQUARE[c] psi the c-th canonical
+component.  Antipodal spinors give the same form, and psi = 1 gives Phi0.
+The 7-summand of Phi0 is right multiplication R_u by an imaginary u, and
+for a unit u
 
     exp(theta R_u / sqrt 8) . Phi0 = bryant_form(cos(theta / sqrt 2) + sin(theta / sqrt 2) u),
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _GATHER2, _GATHER4, _P_CANON, QUADS, pair_matrix
+from .algebra import _GATHER2, _P_CANON, _SQUARE, QUADS, pair_matrix
 from .octonion import OCT_TABLE
 
 __all__ = [
@@ -50,23 +51,6 @@ def spinor_square4(psi: np.ndarray) -> np.ndarray:
         v = np.einsum("a,ajp,...j->...p", conj @ eye[i], OCT_TABLE, v)
         canon[..., c] = np.einsum("...p,...p->...", v, psi)
     return canon
-
-
-def _square_table() -> np.ndarray:
-    """The quadratic forms of `spinor_square4`: left multiplication by e_l is
-    the row-vector product psi @ OCT_TABLE[l], so the component on (i, j, k, l)
-    is psi^T (conj_i conj_k T[l] T[k] T[j] T[i]) psi.  Every factor is a signed
-    permutation matrix, so the table is exact."""
-    i, j, k, l = _GATHER4
-    conj = np.where(np.arange(8) == 0, 1.0, -1.0)
-    m = (conj[i] * conj[k])[:, None, None] * (
-        OCT_TABLE[l] @ OCT_TABLE[k] @ OCT_TABLE[j] @ OCT_TABLE[i])
-    square = 0.5 * (m + np.swapaxes(m, -1, -2)) + 0.0     # + 0.0 clears the zeros' signs
-    square.setflags(write=False)
-    return square
-
-
-_SQUARE = _square_table()
 
 
 def bryant_form(psi: np.ndarray) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Each check returns (name, max_error, tolerance); the suite passes when
 every error is below its tolerance.  Pointwise identities run on the
-Cayley form and on a bank of seeded rotations of it; the derivative
-identities run on one-axis lattice data at two resolutions and check the
-expected convergence order instead of an absolute threshold.
+Cayley form, the square of 1, and on the squares of a bank of seeded unit
+spinors, which are rotations of it; the derivative identities run on
+one-axis lattice data at two resolutions and check the expected
+convergence order instead of an absolute threshold.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, lattice, orbit
-from .algebra import (PHI0C, decompose3, decompose4, diamond, endo_split, hodge_star4,
+from .algebra import (decompose3, decompose4, diamond, endo_split, hodge_star4,
                       lambda_op, metric_from_form, pi7, pi21, slot_matrix, triple_contract,
                       unpack4)
 from .flow import initial_data
@@ -26,7 +27,7 @@ __all__ = ["IdentityResult", "run_suite"]
 IDENTITY_TOL = 1e-12
 METRIC_TOL = 1e-10
 SEED = 20240801
-N_ROTATIONS = 100
+N_SPINORS = 100
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,6 @@ class IdentityResult:
     def as_dict(self) -> dict:
         return {"name": self.name, "max_error": self.max_error,
                 "tolerance": self.tolerance, "passed": self.passed}
-
-
-def _rotation_bank(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Seeded rotations, polished to orthogonality beyond the identity tolerance."""
-    a = rng.standard_normal((count, 8, 8))
-    a = 0.5 * (a - np.swapaxes(a, -1, -2))
-    r = orbit.so8_exp(a)
-    # one Newton polish squares the orthogonality defect
-    rt = np.swapaxes(r, -1, -2)
-    return r @ (1.5 * np.eye(8) - 0.5 * (rt @ r))
 
 
 def _contraction_identities(phis: np.ndarray, out: list):
@@ -95,10 +86,9 @@ def run_suite(octonion_table: np.ndarray | None = None) -> list[IdentityResult]:
     rng = np.random.default_rng(SEED)
     out: list[IdentityResult] = []
 
-    if octonion_table is None:
-        table, phic = OCT_TABLE, PHI0C
-    else:
-        table, phic = octonion_table, algebra._build_cayley(octonion_table)
+    table = OCT_TABLE if octonion_table is None else octonion_table
+    square = algebra._square_table(table)
+    phic = np.ascontiguousarray(square[:, 0, 0])    # the square of 1: PHI0C under `table`
     phi = unpack4(phic)    # dense, for the checks written in index notation
 
     # composition algebra
@@ -110,9 +100,11 @@ def run_suite(octonion_table: np.ndarray | None = None) -> list[IdentityResult]:
     out.append(IdentityResult("octonion composition law |ab| = |a||b|", float(comp),
                               IDENTITY_TOL))
 
-    # contraction identities on the form and its rotations
-    rots = _rotation_bank(rng, N_ROTATIONS)
-    phis = unpack4(np.concatenate([phic[None], orbit.rotate_form(rots, phic)], axis=0))
+    # contraction identities on the form and the squares of seeded unit spinors
+    psis = rng.standard_normal((N_SPINORS, 8))
+    psis /= np.linalg.norm(psis, axis=-1, keepdims=True)
+    squares = np.einsum("...a,cab,...b->...c", psis, square, psis)
+    phis = unpack4(np.concatenate([phic[None], squares], axis=0))
     _contraction_identities(phis, out)
 
     # self-duality under the standard orientation
@@ -231,8 +223,7 @@ def run_suite(octonion_table: np.ndarray | None = None) -> list[IdentityResult]:
     errs = [0.0]
     if octonion_table is None:
         bry = orbit.bryant_form(psi)
-        errs = [np.abs(orbit.bryant_form(np.eye(8)[0]) - phic).max(),
-                np.abs(bry - orbit.spinor_square4(psi)).max(),
+        errs = [np.abs(bry - orbit.spinor_square4(psi)).max(),
                 np.abs(metric_from_form(unpack4(bry)) - np.eye(8)).max()]
     out.append(IdentityResult("spinor parametrization (square = Clifford product, isometric)",
                               float(max(errs)), METRIC_TOL))

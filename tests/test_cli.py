@@ -90,16 +90,34 @@ def test_verify_json():
     assert [entry["name"] for entry in report] == VERIFY_NAMES
 
 
-def test_verify_corrupted_table_fails_and_names_identity(monkeypatch, capsys):
+def _corrupted_table():
     table = OCT_TABLE.copy()
     table[3, 5] = -table[3, 5]  # break one product
+    return table
+
+
+def test_verify_corrupted_table_fails_and_names_identity(monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_suite",
-                        functools.partial(verify.run_suite, octonion_table=table))
+                        functools.partial(verify.run_suite, octonion_table=_corrupted_table()))
     assert main(["verify"]) == 1
     err = capsys.readouterr().err
     assert "FAILED" in err
     # the first failing identity is named on stderr
     assert any(word in err for word in ("composition", "contraction"))
+
+
+def test_corrupted_table_reaches_past_the_composition_law():
+    """The forms the suite squares under a corrupted table break the four
+    contraction identities and the induced metric, not only |ab| = |a||b|."""
+    failed = {r.name for r in verify.run_suite(octonion_table=_corrupted_table()) if not r.passed}
+    assert failed >= {
+        "octonion composition law |ab| = |a||b|",
+        "triple-index contraction (27-term identity)",
+        "double contraction = 6gg - 6gg - 4*form",
+        "triple contraction = 42 g",
+        "full self-contraction = 336",
+        "induced metric (identity, scaling, rotations)",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,13 @@ def test_theta_matches_the_weights_and_wraps_the_centre():
         assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
+def test_theta_takes_a_generator_of_states():
+    st = initial_data("rotation-field", {"eps": 0.05}, small_spec(), seed=1)
+    states = [st, flow_step(st, 0.1 * st.spec.spacing**2)]
+    want = theta_functional(states, (3,), t0=1.0)
+    np.testing.assert_array_equal(theta_functional((s for s in states), (3,), t0=1.0), want)
+
+
 def _on_16_and_8_points():
     """A state on 16 points at t = 0 and one on 8 points at t = 1e-3."""
     a = initial_data("rotation-field", {"eps": 0.05}, small_spec(16), seed=1)
@@ -531,6 +538,15 @@ def test_soliton_schedule_shrinking():
     # the printed dilation vanishes at the origin, which sits outside the
     # validity interval: unit normalization there is unattainable for c != 0
     assert float(s.rho(0.0)) == 0.0
+
+
+@pytest.mark.parametrize("c", [1, -1])
+def test_soliton_schedule_invariants_read_rho(c, monkeypatch):
+    """A wrong dilation exponent fails the relation alpha = -(2/c) (log rho)'."""
+    sched = soliton_schedule(c, 0.5)
+    monkeypatch.setattr(flow.SolitonSchedule, "rho",
+                        lambda self, t: np.abs(np.asarray(t, dtype=float)) ** (2.0 * self.p))
+    assert sched.check_invariants() > 1e-3
 
 
 def test_soliton_schedule_validation():

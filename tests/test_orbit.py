@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spin7 import orbit
+from spin7 import algebra
 from spin7.algebra import (PHI0, decompose4, diamond, lambda_op, metric_from_form, pi7,
                            pi21, unpack4)
 from spin7.octonion import OCT_TABLE, oct_mul
@@ -40,7 +40,7 @@ def brute_force_theta(x):
 
 
 def theta_of_square(x):
-    return unpack4(np.einsum("cb,...b->...c", orbit._SQUARE[:, 0], x))
+    return unpack4(np.einsum("cb,...b->...c", algebra._SQUARE[:, 0], x))
 
 
 def test_theta_matches_brute_force_oracle():

@@ -14,6 +14,7 @@ the full 8-slot einsums on that torsion embedded with zero slices.  Every compar
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,3 +312,19 @@ def test_ricci_matches_einsum(name, rng):
         assert field.shape == ref.shape
         assert_matches(field, ref)
         assert lattice.ricci_residual(spec, t_field) == float(np.abs(field).max())
+
+
+@pytest.mark.parametrize("name, order", [("1-axis", 2), ("2-axis", 2), ("2-axis", 4),
+                                         ("3-axis", 2)])
+def test_ricci_is_the_contracted_bianchi_field(name, order, rng):
+    """ricci_ij = 4 sum_a res_{ia;ja}: the record's ricci column is a trace
+    of the field behind its bianchi column."""
+    spec = replace(SPECS[name], stencil_order=order)
+    act = list(spec.active_axes)
+    for t_field in torsion_fields(spec, rng):
+        gt = lattice.fd_gradient_generic(spec, t_field)
+        quad = np.matmul(t_field[..., :, None, :, :], t_field[..., None, :, :, :])
+        res = gt - np.swapaxes(gt, -4, -3) - 2.0 * quad + 2.0 * np.swapaxes(quad, -4, -3)
+        assert float(np.abs(res).max()) == lattice.bianchi_residual(spec, t_field)
+        ricci = lattice.ricci_residual(spec, t_field, return_field=True)
+        assert_matches(4.0 * np.einsum("...iaja->...ij", res[..., act]), ricci[..., act, :])
